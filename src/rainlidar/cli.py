@@ -21,7 +21,7 @@ import numpy as np
 
 from . import io as rio
 from .errors import FileFormatError, InvalidInputError, NumericalError, TrainingError
-from .features import CropBox, Scan, scan_features, window_features
+from .features import CropBox, Scan, scan_features
 from .moe import (
     TrainConfig,
     build_tree_spec,
@@ -38,6 +38,7 @@ from .pipeline import (
     SPLIT_TRAIN,
     SPLIT_VALIDATION,
     Dataset,
+    _slide_windows,
     assemble_dataset,
     make_windows,
     preprocess,
@@ -232,31 +233,23 @@ def cmd_predict(args) -> int:
         raise InvalidInputError("buffer and emission period must be positive")
     if not scans:
         raise InvalidInputError("no scans to predict on")
-    times = np.array([s.timestamp for s in scans])
+    counts, windows = _slide_windows(
+        scans, box, buffer_s, args.emit_period, limit=scans[-1].timestamp, end_anchored=True
+    )
     lines = []
     n_experts = model.spec.n_experts
     header = "time_s,point_estimate_mm_h,error_probability," + ",".join(
         f"resp_e{m}" for m in range(1, n_experts + 1)
     )
     lines.append(header)
-    emit = float(times[0]) + buffer_s
-    n_skipped = 0
-    while emit <= times[-1] + 1e-9:
-        i0, i1 = np.searchsorted(times, [emit - buffer_s, emit], side="left")
-        if i1 - i0 >= 2:
-            vector = window_features(scans[i0:i1], box)
-            pred = infer(model, vector, margin_fraction=args.margin, error_floor=args.floor)
-            resp = ",".join(repr(float(p)) for p in pred.responsibilities)
-            lines.append(
-                f"{emit!r},{pred.point_estimate!r},{pred.error_probability!r},{resp}"
-            )
-        else:
-            n_skipped += 1
-        emit += args.emit_period
+    for _, emit, _, vector in windows:
+        pred = infer(model, vector, margin_fraction=args.margin, error_floor=args.floor)
+        resp = ",".join(repr(float(p)) for p in pred.responsibilities)
+        lines.append(f"{emit!r},{pred.point_estimate!r},{pred.error_probability!r},{resp}")
     text = "\n".join(lines) + "\n"
     if args.out and args.out != "-":
         rio.atomic_write_text(args.out, text)
-        print(f"predict: {len(lines) - 1} emissions ({n_skipped} skipped) -> {args.out}")
+        print(f"predict: {len(lines) - 1} emissions ({counts.n_skipped_few_scans} skipped) -> {args.out}")
     else:
         sys.stdout.write(text)
     return EXIT_OK

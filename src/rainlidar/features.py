@@ -2,9 +2,10 @@
 windowed 8-dimensional feature vectors.
 
 A scan is reduced to four per-scan statistics (point count, mean intensity,
-mean radial distance, normalized MST length); a window of scans is reduced
-to the mean and population standard deviation of each, giving the feature
-vector
+mean radial distance, normalized MST length), one row of a per-scan table
+with NaN where a statistic is undefined; a window of scans is a slice of
+that table, reduced to the mean and population standard deviation of each
+column, giving the feature vector
 
     [count_mean, count_std, intensity_mean, intensity_std,
      radial_mean, radial_std, mst_mean, mst_std].
@@ -217,28 +218,44 @@ def scan_features(scan: Scan, box: CropBox) -> ScanFeatures:
     return ScanFeatures(n, mean_intensity, mean_radial, norm)
 
 
-def window_features(scans, box: CropBox) -> np.ndarray:
-    """Mean and population std of each per-scan feature across a window.
+def scan_feature_rows(scans, box: CropBox, indices=None, out=None) -> np.ndarray:
+    """Per-scan feature table: count, mean intensity, mean radial, MST ratio.
 
-    Scans where a feature is undefined are excluded from that feature's
-    statistics; if a feature is undefined in every scan its mean and std are
-    substituted with 0 and a warning is emitted.
+    Row ``i`` holds the :func:`scan_features` of ``scans[i]`` (a sequence),
+    with NaN where a feature is undefined. Only the rows in ``indices``
+    (default: all) are computed, one :func:`scan_features` call each; the
+    other rows of ``out`` (default: a new all-NaN table) are left as they are.
     """
-    per_scan = [scan_features(s, box) for s in scans]
-    if len(per_scan) < 2:
+    if out is None:
+        out = np.full((len(scans), 4), np.nan)
+    for i in range(len(scans)) if indices is None else indices:
+        f = scan_features(scans[i], box)
+        out[i] = [
+            f.n_points,
+            np.nan if f.mean_intensity is None else f.mean_intensity,
+            np.nan if f.mean_radial is None else f.mean_radial,
+            np.nan if f.norm_mst is None else f.norm_mst,
+        ]
+    return out
+
+
+def reduce_window(rows) -> np.ndarray:
+    """Mean and population std of each column of a window's per-scan rows.
+
+    NaN entries (features undefined for a scan) are excluded from that
+    feature's statistics; if a feature is undefined in every scan its mean
+    and std are substituted with 0 and a warning is emitted.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.shape[0] < 2:
         raise InvalidInputError("window statistics need at least 2 scans")
-    columns = (
-        ("count", [float(f.n_points) for f in per_scan]),
-        ("intensity", [f.mean_intensity for f in per_scan]),
-        ("radial", [f.mean_radial for f in per_scan]),
-        ("mst", [f.norm_mst for f in per_scan]),
-    )
     out = np.empty(8)
-    for c, (name, values) in enumerate(columns):
-        present = np.array([v for v in values if v is not None], dtype=float)
+    for c, name in enumerate(("count", "intensity", "radial", "mst")):
+        column = rows[:, c]
+        present = column[~np.isnan(column)]
         if present.size == 0:
             _warnings.warn(
-                f"feature {name!r} undefined in all {len(per_scan)} scans of a window; "
+                f"feature {name!r} undefined in all {rows.shape[0]} scans of a window; "
                 "substituting 0",
                 stacklevel=2,
             )
@@ -249,6 +266,15 @@ def window_features(scans, box: CropBox) -> np.ndarray:
         out[2 * c] = mean
         out[2 * c + 1] = std
     return out
+
+
+def window_features(scans, box: CropBox) -> np.ndarray:
+    """Mean and population std of each per-scan feature across a window.
+
+    The per-scan table of :func:`scan_feature_rows` reduced by
+    :func:`reduce_window`.
+    """
+    return reduce_window(scan_feature_rows(list(scans), box))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,10 @@ the unstable transitions between rate adjustments. Scan streams are sliced
 into fixed-duration windows, each reduced to one feature vector and the
 mean of the interpolated ground truth over the window. A central slice of
 every segment is held out as validation data.
+
+``featurize`` (:func:`make_windows`) and ``predict`` share one windowing
+path: each scan of a used window is featurized once into a per-scan table,
+and every window's vector is reduced from its slice of that table.
 """
 
 from __future__ import annotations
@@ -17,12 +21,16 @@ import numpy as np
 from scipy.signal import savgol_filter
 
 from .errors import InvalidInputError
-from .features import CropBox, WindowSample, window_features
+from .features import CropBox, WindowSample, reduce_window, scan_feature_rows
 
 DEFAULT_SAVGOL_WINDOW = 9
 DEFAULT_SAVGOL_ORDER = 2
 DEFAULT_TRIM = 10
 DEFAULT_VALIDATION_SPAN = 20.0
+
+# Window edges are moved this much early, so that bounds computed as
+# t0 + k * 0.1 select the same scans as the exact k / 10.
+EDGE_TOLERANCE = 1e-9
 
 SPLIT_TRAIN = "train"
 SPLIT_VALIDATION = "validation"
@@ -187,9 +195,12 @@ def make_windows(
 ) -> WindowingResult:
     """Slice a time-ordered scan stream into feature/target window samples.
 
-    Windows are [start, start + duration) at the given stride (default:
-    stride = duration, i.e. non-overlapping). Windows without a ground-truth
-    target or with fewer than two scans are skipped and counted.
+    Windows are [start, start + duration) with start = t0 + k * stride
+    (default: stride = duration, i.e. non-overlapping). Windows without a
+    ground-truth target or with fewer than two scans are skipped and counted.
+    Feature vectors are reduced from a per-scan feature table shared by the
+    windows (see :func:`_slide_windows`), so overlapping windows featurize
+    each scan once and scans of skipped windows are never featurized.
     """
     if duration <= 0:
         raise InvalidInputError("duration must be positive")
@@ -201,38 +212,82 @@ def make_windows(
             "stride < duration produces overlapping windows; pass allow_overlap=True"
         )
     scans = list(scans)
-    result = WindowingResult(samples=[])
     if not scans:
-        return result
+        return WindowingResult(samples=[])
+    gaps = np.diff([s.timestamp for s in scans])
+    slack = float(np.median(gaps)) if gaps.size else 0.0
+    result, windows = _slide_windows(
+        scans, box, duration, stride, limit=scans[-1].timestamp + slack, series=series
+    )
+    result.samples = [
+        WindowSample(features=vector, target=target, window=(start, end), provenance=session_id)
+        for start, end, target, vector in windows
+    ]
+    return result
+
+
+def _slide_windows(
+    scans: list,
+    box: CropBox,
+    duration: float,
+    period: float,
+    limit: float,
+    series: RainSeries | None = None,
+    end_anchored: bool = False,
+):
+    """The one windowing path, shared by :func:`make_windows` and ``rainlidar predict``.
+
+    ``scans`` is a non-empty list. With t0 the first scan time, window k
+    starts at t0 + k * period and lasts ``duration``; ``end_anchored``
+    windows instead end at t0 + duration + k * period. Windows end no later
+    than ``limit``; a window holds the scans with start <= timestamp < end,
+    both edges moved EDGE_TOLERANCE early. Windows with fewer than two scans
+    are skipped, and with ``series`` so are windows without a target.
+
+    Returns ``(counts, windows)``: a :class:`WindowingResult` with the window
+    and skip counts, and a generator of ``(start, end, target, vector)`` for
+    the kept windows in time order (target None without ``series``). Each
+    scan of a kept window is featurized once, into a per-scan table, when
+    the first window holding it is reached; every vector is reduced from its
+    window's slice of that table.
+    """
     times = np.array([s.timestamp for s in scans])
     if np.any(np.diff(times) < 0):
         raise InvalidInputError("scans must be time-ordered")
-    gaps = np.diff(times)
-    slack = float(np.median(gaps)) if gaps.size else 0.0
-    start = float(times[0])
-    t_last = float(times[-1])
-    while start + duration <= t_last + slack + 1e-9:
-        end = start + duration
-        i0, i1 = np.searchsorted(times, [start, end], side="left")
-        result.n_windows += 1
+    t0 = float(times[0])
+    last = limit + 1e-9
+    # One index past the last window that can fit; the mask below trims it.
+    k = np.arange(max(int((last - t0 - duration) // period) + 2, 0))
+    if end_anchored:
+        ends = (t0 + duration) + k * period
+        starts = ends - duration
+    else:
+        starts = t0 + k * period
+        ends = starts + duration
+    inside = ends <= last
+    starts, ends = starts[inside], ends[inside]
+    lo = np.searchsorted(times, starts - EDGE_TOLERANCE)
+    hi = np.searchsorted(times, ends - EDGE_TOLERANCE)
+    counts = WindowingResult(samples=[], n_windows=len(starts))
+    kept = []
+    for start, end, i0, i1 in zip(starts.tolist(), ends.tolist(), lo.tolist(), hi.tolist()):
         if i1 - i0 < 2:
-            result.n_skipped_few_scans += 1
-        else:
-            target = target_for_window(series, (start, end))
-            if target is None:
-                result.n_skipped_no_target += 1
-            else:
-                vector = window_features(scans[i0:i1], box)
-                result.samples.append(
-                    WindowSample(
-                        features=vector,
-                        target=target,
-                        window=(start, end),
-                        provenance=session_id,
-                    )
-                )
-        start += stride
-    return result
+            counts.n_skipped_few_scans += 1
+            continue
+        target = None if series is None else target_for_window(series, (start, end))
+        if series is not None and target is None:
+            counts.n_skipped_no_target += 1
+            continue
+        kept.append((start, end, target, i0, i1))
+
+    def vectors():
+        table = np.full((len(scans), 4), np.nan)
+        for start, end, target, i0, i1 in kept:
+            todo = i0 + np.flatnonzero(np.isnan(table[i0:i1, 0]))
+            scan_feature_rows(scans, box, todo, out=table)
+            yield start, end, target, reduce_window(table[i0:i1])
+
+    return counts, vectors()
 
 
 @dataclass

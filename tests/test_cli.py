@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from rainlidar import features
 from rainlidar import io as rio
 from rainlidar.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from rainlidar.features import WindowSample
+from rainlidar.features import Scan, WindowSample
 from rainlidar.pipeline import Dataset
 
 SMALL_SEGMENTS = "300:7:10,300:15:10,300:30:10,300:50:10"
@@ -202,6 +203,51 @@ class TestPredict:
         assert float(first[0]) == 10.0
         resp = np.array([float(v) for v in first[3:]])
         assert abs(resp.sum() - 1.0) < 1e-9
+
+    def test_featurizes_each_scan_of_an_emitted_window_once(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        # 10 Hz over 0..14.9 s and 28..39.9 s: the emissions at 25..28 s have
+        # no scans, and the scans after the last emission (39 s) are in none.
+        times = np.concatenate([np.arange(0, 150), np.arange(280, 400)]) / 10
+        rng = np.random.default_rng(9)
+        scans = [
+            Scan(rng.uniform(-5, 5, (8, 3)), rng.random(8), float(t), i)
+            for i, t in enumerate(times)
+        ]
+        scan_path = tmp_path / "gappy_scans.txt"
+        rio.write_scans(scan_path, scans)
+        seen = []
+        real = features.scan_features
+
+        def counting(scan, box):
+            seen.append(scan.frame_id)
+            return real(scan, box)
+
+        monkeypatch.setattr(features, "scan_features", counting)
+        out = tmp_path / "stream.csv"
+        assert main([
+            "predict", "--model", str(workspace["model"]), "--scans", str(scan_path),
+            "--buffer", "10", "--emit-period", "1", "--out", str(out),
+        ]) == EXIT_OK
+        assert "predict: 26 emissions (4 skipped)" in capsys.readouterr().out
+        emitted = [float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+        inside = {
+            i for emit in emitted for i, t in enumerate(times) if emit - 10 <= t < emit
+        }
+        assert seen == sorted(inside)
+        assert len(seen) == 260
+
+    def test_unordered_scans_are_usage_error(self, workspace, tmp_path, capsys):
+        scans = [Scan(np.ones((2, 3)), np.ones(2), t, i) for i, t in enumerate([0.0, 2.0, 1.0])]
+        scan_path = tmp_path / "unordered.txt"
+        rio.write_scans(scan_path, scans)
+        code = main([
+            "predict", "--model", str(workspace["model"]), "--scans", str(scan_path),
+            "--buffer", "1", "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == EXIT_USAGE
+        assert "time-ordered" in capsys.readouterr().err
 
     def test_dimension_mismatch_names_both(self, workspace, tmp_path, capsys):
         doc = json.loads(workspace["model"].read_text())

@@ -1,10 +1,12 @@
 """Tests for scan cropping, MST statistics and window feature vectors."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
+from rainlidar import features
 from rainlidar.errors import InvalidInputError
 from rainlidar.features import (
     CropBox,
@@ -12,6 +14,8 @@ from rainlidar.features import (
     crop,
     mst_length,
     normalized_mst,
+    reduce_window,
+    scan_feature_rows,
     scan_features,
     standardize_apply,
     standardize_fit,
@@ -291,6 +295,87 @@ class TestWindowFeatures:
     def test_single_scan_rejected(self):
         with pytest.raises(InvalidInputError):
             window_features([make_scan([[0, 0, 0]])], CropBox(10.0))
+
+
+def random_window(rng, n_scans):
+    """Scans with 0, 1 or several points, so every per-scan feature can be undefined."""
+    scans = []
+    for i in range(n_scans):
+        n = int(rng.choice([0, 1, rng.integers(2, 25)]))
+        scans.append(
+            make_scan(rng.uniform(-12, 12, (n, 3)), intensity=rng.random(n), frame_id=i)
+        )
+    return scans
+
+
+def window_features_from_dataclass(scans, box):
+    """The window vector built straight from ``scan_features`` (None = undefined)."""
+    per_scan = [scan_features(s, box) for s in scans]
+    columns = (
+        [float(f.n_points) for f in per_scan],
+        [f.mean_intensity for f in per_scan],
+        [f.mean_radial for f in per_scan],
+        [f.norm_mst for f in per_scan],
+    )
+    out = []
+    for values in columns:
+        present = np.array([v for v in values if v is not None], dtype=float)
+        out += [float(present.mean()), float(present.std())] if present.size else [0.0, 0.0]
+    return np.array(out)
+
+
+class TestScanFeatureRows:
+    def test_rows_match_scan_features(self):
+        rng = np.random.default_rng(60)
+        box = CropBox(10.0)
+        scans = random_window(rng, 40)
+        rows = scan_feature_rows(scans, box)
+        assert rows.shape == (40, 4)
+        for scan, row in zip(scans, rows):
+            f = scan_features(scan, box)
+            expected = [f.n_points, f.mean_intensity, f.mean_radial, f.norm_mst]
+            np.testing.assert_array_equal(
+                row, [np.nan if v is None else v for v in expected]
+            )
+
+    def test_only_given_indices_computed(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        scans = random_window(rng, 12)
+        seen = []
+        real = features.scan_features
+
+        def counting(scan, box):
+            seen.append(scan.frame_id)
+            return real(scan, box)
+
+        monkeypatch.setattr(features, "scan_features", counting)
+        rows = scan_feature_rows(scans, CropBox(10.0), indices=[3, 7, 8])
+        assert seen == [3, 7, 8]
+        assert not np.isnan(rows[[3, 7, 8], 0]).any()
+        assert np.isnan(np.delete(rows, [3, 7, 8], axis=0)).all()
+        # filling into an existing table leaves the other rows alone
+        scan_feature_rows(scans, CropBox(10.0), indices=[0], out=rows)
+        assert seen == [3, 7, 8, 0]
+        assert not np.isnan(rows[[0, 3, 7, 8], 0]).any()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_reduced_table_equals_dataclass_path_bitwise(self, seed):
+        rng = np.random.default_rng([62, seed])
+        box = CropBox(10.0)
+        scans = random_window(rng, int(rng.integers(2, 12)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            vec = window_features(scans, box)
+        assert np.array_equal(vec, window_features_from_dataclass(scans, box))
+        undefined = sum(
+            all(getattr(scan_features(s, box), name) is None for s in scans)
+            for name in ("mean_intensity", "mean_radial", "norm_mst")
+        )
+        assert sum("undefined in all" in str(w.message) for w in caught) == undefined
+
+    def test_reduce_window_rejects_single_row(self):
+        with pytest.raises(InvalidInputError):
+            reduce_window(np.ones((1, 4)))
 
 
 class TestStandardize:

@@ -1,11 +1,15 @@
 """Tests for ground-truth preprocessing, windowing, and dataset splitting."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from rainlidar import features
 from rainlidar.errors import InvalidInputError
-from rainlidar.features import CropBox, Scan
+from rainlidar.features import CropBox, Scan, window_features
 from rainlidar.pipeline import (
+    EDGE_TOLERANCE,
     Dataset,
     RainSeries,
     assemble_dataset,
@@ -18,6 +22,7 @@ from rainlidar.pipeline import (
     target_for_window,
     trim_segments,
 )
+from rainlidar.pipeline import _slide_windows
 
 
 def series_of(rates, dt=10.0, segment_ids=None):
@@ -221,6 +226,159 @@ class TestMakeWindows:
     def test_empty_scans(self):
         result = make_windows([], 10.0, CropBox(10.0), series_of(np.full(5, 1.0)))
         assert result.samples == [] and result.n_windows == 0
+
+
+def random_session(seed):
+    """Irregular 10 Hz-ish session with runs of empty and of 1-point scans."""
+    rng = np.random.default_rng([70, seed])
+    times = np.cumsum(rng.uniform(0.05, 0.15, 160))
+    kinds = rng.choice(["empty", "single", "many"], size=times.size, p=[0.15, 0.15, 0.7])
+    kinds[40:55] = "empty"  # windows where intensity, radial and MST are undefined
+    kinds[90:105] = "single"  # windows where only the MST is undefined
+    scans = []
+    for i, (t, kind) in enumerate(zip(times, kinds)):
+        n = {"empty": 0, "single": 1}.get(kind, int(rng.integers(2, 15)))
+        scans.append(Scan(rng.uniform(-6, 6, (n, 3)), rng.random(n), float(t), i))
+    return scans
+
+
+def slice_of(scans, start, end):
+    times = np.array([s.timestamp for s in scans])
+    i0, i1 = np.searchsorted(times, [start - EDGE_TOLERANCE, end - EDGE_TOLERANCE])
+    return scans[i0:i1]
+
+
+def counting_scan_features(monkeypatch):
+    """Record the frame id of every ``scan_features`` call."""
+    seen = []
+    real = features.scan_features
+
+    def counting(scan, box):
+        seen.append(scan.frame_id)
+        return real(scan, box)
+
+    monkeypatch.setattr(features, "scan_features", counting)
+    return seen
+
+
+def recorded_undefined(fn):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn()
+    return out, [str(w.message) for w in caught if "undefined in all" in str(w.message)]
+
+
+class TestSharedTable:
+    """The per-scan table path against featurizing every window on its own."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("stride", [0.35, 1.0])
+    def test_make_windows_equals_per_window_features_bitwise(self, seed, stride):
+        scans = random_session(seed)
+        box = CropBox(5.0)
+        # two segments with a gap, so some windows have no target
+        series = RainSeries([0.0, 6.0, 9.0, 30.0], [3.0, 5.0, 8.0, 2.0], [0, 0, 1, 1])
+        result, table_warnings = recorded_undefined(
+            lambda: make_windows(scans, 1.0, box, series, stride=stride, allow_overlap=True)
+        )
+        assert result.samples and result.n_skipped_no_target > 0
+        direct_warnings = []
+        for sample in result.samples:
+            vector, caught = recorded_undefined(
+                lambda: window_features(slice_of(scans, *sample.window), box)
+            )
+            direct_warnings += caught
+            assert np.array_equal(sample.features, vector)
+        assert any("'mst'" in w for w in table_warnings)
+        assert any("'intensity'" in w for w in table_warnings)
+        assert table_warnings == direct_warnings
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_emissions_equal_per_window_features_bitwise(self, seed):
+        scans = random_session(seed)
+        box = CropBox(5.0)
+        counts, windows = _slide_windows(
+            scans, box, 1.5, 0.4, limit=scans[-1].timestamp, end_anchored=True
+        )
+        windows, table_warnings = recorded_undefined(lambda: list(windows))
+        assert len(windows) + counts.n_skipped_few_scans == counts.n_windows
+        direct_warnings = []
+        for start, end, target, vector in windows:
+            assert target is None and end - start == pytest.approx(1.5)
+            expected, caught = recorded_undefined(
+                lambda: window_features(slice_of(scans, start, end), box)
+            )
+            direct_warnings += caught
+            assert np.array_equal(vector, expected)
+        assert table_warnings == direct_warnings
+
+
+class TestWindowStarts:
+    """Window k is t0 + k * stride, sliced with a tolerance: no accumulated drift."""
+
+    @staticmethod
+    def tagged_scans(n):
+        # 10 Hz, two points per scan, every intensity equal to the scan index
+        return [
+            Scan(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), np.full(2, float(i)), i / 10, i)
+            for i in range(n)
+        ]
+
+    def test_tenth_second_stride_windows_hold_ten_scans(self):
+        scans = self.tagged_scans(100)
+        series = RainSeries([0.0, 20.0], [5.0, 5.0], [0, 0])
+        result = make_windows(scans, 1.0, CropBox(10.0), series, stride=0.1, allow_overlap=True)
+        assert result.n_windows == len(result.samples) == 91
+        # window k holds scans k..k+9 exactly: mean index k + 4.5
+        assert [s.features[2] for s in result.samples] == [k + 4.5 for k in range(91)]
+        np.testing.assert_allclose(
+            [s.window[0] for s in result.samples], np.arange(91) / 10, rtol=0, atol=1e-12
+        )
+
+    def test_starts_carry_no_accumulated_rounding(self):
+        # 1 Hz scans, 2 s windows every 0.1 s: a running sum of 0.1 would be
+        # 1.6e-10 off by the 10,000th window
+        pair = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        scans = [Scan(pair, np.ones(2), float(t), t) for t in range(1001)]
+        series = RainSeries([0.0, 1001.0], [5.0, 5.0], [0, 0])
+        result = make_windows(scans, 2.0, CropBox(10.0), series, stride=0.1, allow_overlap=True)
+        starts = np.array([s.window[0] for s in result.samples])
+        assert starts.size == 9991
+        np.testing.assert_allclose(starts, np.arange(9991) / 10, rtol=0, atol=1e-12)
+
+    def test_tenth_second_emissions_hold_ten_scans(self):
+        scans = self.tagged_scans(100)
+        counts, windows = _slide_windows(
+            scans, CropBox(10.0), 1.0, 0.1, limit=scans[-1].timestamp, end_anchored=True
+        )
+        windows = list(windows)
+        assert counts.n_windows == len(windows) == 90
+        assert [w[3][2] for w in windows] == [k + 4.5 for k in range(90)]
+        np.testing.assert_allclose(
+            [w[1] for w in windows], 1.0 + np.arange(90) / 10, rtol=0, atol=1e-12
+        )
+
+
+class TestFeaturizeCallCount:
+    def test_only_scans_of_targeted_windows(self, monkeypatch):
+        scans = [scan_at(t) for t in np.arange(0, 300) / 10]
+        # the series covers 0..5 s of the 30 s session
+        series = RainSeries([0.0, 5.0], [5.0, 5.0], [0, 0])
+        seen = counting_scan_features(monkeypatch)
+        result = make_windows(scans, 1.0, CropBox(10.0), series)
+        assert len(result.samples) == 5
+        assert result.n_skipped_no_target == 25
+        assert seen == list(range(50))
+
+    def test_overlapping_windows_featurize_each_scan_once(self, monkeypatch):
+        scans = [scan_at(t) for t in np.arange(0, 200) / 10]
+        series = series_of(np.full(3, 5.0))
+        seen = counting_scan_features(monkeypatch)
+        result = make_windows(
+            scans, 10.0, CropBox(10.0), series, stride=1.0, allow_overlap=True
+        )
+        assert len(result.samples) == 11
+        assert seen == list(range(200))
 
 
 class TestSplitValidation:

@@ -27,6 +27,7 @@ from .moe import (
     build_tree_spec,
     infer,
     predict_batch,
+    quantile_thresholds,
     summarize_predictions,
     train,
 )
@@ -163,6 +164,9 @@ def cmd_train(args) -> int:
             )
     else:
         depth = args.depth
+        thresholds = quantile_thresholds(
+            [s.target for s in samples], depth, y_range=(0.0, args.y_max)
+        )
     spec = build_tree_spec(depth, y_range=(0.0, args.y_max), thresholds=thresholds)
     basis = (
         BasisConfig(kind="polynomial", degree=args.basis_degree)
@@ -335,7 +339,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--thresholds", default=None, help="heap-ordered gate thresholds, e.g. 20,10,40")
+    p.add_argument(
+        "--thresholds",
+        default=None,
+        help="heap-ordered gate thresholds, e.g. 20,10,40 "
+        "(default: quantiles of the training targets, at least 2 per expert)",
+    )
     p.add_argument("--y-max", type=float, default=80.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--basis-degree", type=int, default=1)

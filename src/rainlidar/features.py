@@ -151,17 +151,19 @@ def mst_length(points) -> float:
     else:
         diff = pts[:, None, :] - pts[None, :, :]
         dist_sq = (diff**2).sum(axis=-1)
-    visited = np.zeros(n, dtype=bool)
-    visited[0] = True
+    # best_sq is updated in place; done is 0 for unvisited points and inf
+    # for visited ones, so the maximum keeps visited entries at inf.
+    done = np.zeros(n)
+    done[0] = np.inf
     best_sq = dist_sq[0].copy()
     best_sq[0] = np.inf
     edges_sq = np.empty(n - 1)
     for i in range(n - 1):
-        j = int(np.argmin(best_sq))
+        j = int(best_sq.argmin())
         edges_sq[i] = best_sq[j]
-        visited[j] = True
-        best_sq = np.minimum(best_sq, dist_sq[j])
-        best_sq[visited] = np.inf
+        done[j] = np.inf
+        np.minimum(best_sq, dist_sq[j], out=best_sq)
+        np.maximum(best_sq, done, out=best_sq)
     return float(np.sort(np.sqrt(edges_sq)).sum())
 
 

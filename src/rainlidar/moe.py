@@ -160,6 +160,43 @@ def build_tree_spec(depth: int, y_range=(0.0, 80.0), thresholds=None) -> TreeSpe
     return TreeSpec(depth=depth, thresholds=tuple(thresholds), expert_ranges=ranges)
 
 
+def quantile_thresholds(targets, depth: int, y_range=(0.0, 80.0)) -> list:
+    """Heap-ordered gate thresholds at the k / 2**depth quantiles of the targets.
+
+    Only targets inside [lo, hi) count. With n of them sorted, threshold k
+    (in order) lies midway between order statistics m - 1 and m, where
+    m = k * n // 2**depth, so every expert range holds at least
+    n // 2**depth >= 2 targets. Raises TrainingError when the targets cannot
+    give every expert range 2 of them (too few, or too many ties).
+    """
+    lo, hi = float(y_range[0]), float(y_range[1])
+    if not (np.isfinite(lo) and np.isfinite(hi) and 0 <= lo < hi):
+        raise InvalidInputError("y range must satisfy 0 <= lo < hi")
+    if not 0 <= depth <= MAX_DEPTH:
+        raise InvalidInputError(f"depth must be in [0, {MAX_DEPTH}]")
+    y = np.asarray(targets, dtype=float).reshape(-1)
+    y = np.sort(y[(y >= lo) & (y < hi)])
+    n, n_experts = y.size, 2**depth
+    enough = n >= 2 * n_experts
+    if enough:
+        cuts = [
+            float(0.5 * (y[m - 1] + y[m]))
+            for m in (k * n // n_experts for k in range(1, n_experts))
+        ]
+        # Ties at a cut can still leave a range with fewer than 2 targets.
+        enough = np.diff(np.searchsorted(y, [lo, *cuts, hi])).min() >= 2
+    if not enough:
+        raise TrainingError(
+            f"cannot derive depth-{depth} thresholds from {np.unique(y).size} distinct "
+            f"training targets in [{lo}, {hi}): each of the {n_experts} expert ranges "
+            "needs at least 2; pass --thresholds or a smaller --depth"
+        )
+    heap = [0.0] * len(cuts)
+    for node, cut in zip(_inorder(range(len(cuts))), cuts):
+        heap[node] = cut
+    return heap
+
+
 @dataclass(frozen=True)
 class MoEModel:
     """Trained mixture of experts: gates, experts, and input standardization."""

@@ -18,7 +18,7 @@ import warnings as _warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import savgol_filter
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidInputError
 from .features import CropBox, WindowSample, reduce_window, scan_feature_rows
@@ -84,11 +84,15 @@ def segment_spans(series: RainSeries) -> list:
 
 
 def savgol(series, window: int = DEFAULT_SAVGOL_WINDOW, order: int = DEFAULT_SAVGOL_ORDER):
-    """Savitzky-Golay smoothing of a 1-d series.
+    """Savitzky-Golay smoothing of a 1-d series, by numpy least squares.
 
     Each output value is the center of the least-squares polynomial fit of
     the surrounding window; at the edges the first/last full-window
-    polynomial is evaluated at the edge offsets (no shortening).
+    polynomial is evaluated at the edge offsets (no shortening), as
+    ``scipy.signal.savgol_filter(mode="interp")`` does (Savitzky & Golay
+    1964; Schafer 2011). Row i of the projection ``V @ pinv(V)``, with V the
+    Vandermonde matrix at offsets -h..h, maps a window to its fitted value
+    at offset i - h.
     """
     y = np.asarray(series, dtype=float)
     if window < 1 or window % 2 == 0:
@@ -99,7 +103,14 @@ def savgol(series, window: int = DEFAULT_SAVGOL_WINDOW, order: int = DEFAULT_SAV
         raise InvalidInputError("series must be 1-d and at least window long")
     if not np.all(np.isfinite(y)):
         raise InvalidInputError("series contains non-finite values")
-    return savgol_filter(y, window_length=window, polyorder=order, mode="interp")
+    h = window // 2
+    vander = np.vander(np.arange(-h, h + 1, dtype=float), order + 1, increasing=True)
+    projection = vander @ np.linalg.pinv(vander)
+    out = np.empty_like(y)
+    out[h : y.size - h] = sliding_window_view(y, window) @ projection[h]
+    out[:h] = projection[:h] @ y[:window]
+    out[y.size - h :] = projection[h + 1 :] @ y[-window:]
+    return out
 
 
 def trim_segments(series: RainSeries, n_cut: int = DEFAULT_TRIM) -> RainSeries:

@@ -1,10 +1,15 @@
 """End-to-end tests for the command-line pipeline."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rainlidar
 from rainlidar import features
 from rainlidar import io as rio
 from rainlidar.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
@@ -156,6 +161,64 @@ class TestTrain:
             "--thresholds", "20,10,40",
         ])
         assert code == EXIT_NUMERIC
+
+
+class TestDefaultThresholds:
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_default_chain(self, workspace, tmp_path, depth):
+        model = tmp_path / "model.json"
+        assert main([
+            "train", "--dataset", str(workspace["dataset"]), "--out", str(model),
+            "--depth", str(depth),
+        ]) == EXIT_OK
+        loaded = rio.load_model(model)
+        assert loaded.spec.depth == depth
+        dataset = rio.read_dataset(workspace["dataset"])
+        targets = np.array([s.target for s in dataset.subset("train")])
+        for lo, hi in loaded.spec.expert_ranges:
+            assert np.count_nonzero((targets >= lo) & (targets < hi)) >= 2
+        assert main([
+            "evaluate", "--model", str(model), "--dataset", str(workspace["dataset"]),
+            "--report", str(tmp_path / "report.json"),
+        ]) == EXIT_OK
+
+    def test_tied_targets_exit_numeric(self, tmp_path, capsys):
+        samples = [
+            WindowSample(
+                features=np.full(8, float(i)),
+                target=0.0 if i < 8 else 5.0,
+                window=(i * 10.0, i * 10.0 + 10.0),
+            )
+            for i in range(10)
+        ]
+        dataset_path = tmp_path / "ties.csv"
+        rio.write_dataset(
+            dataset_path,
+            Dataset(samples=samples, split_tags=["train"] * 10, config={}),
+        )
+        code = main([
+            "train", "--dataset", str(dataset_path), "--out", str(tmp_path / "m.json"),
+            "--depth", "1",
+        ])
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "depth-1" in err and "2 distinct" in err
+
+
+class TestImports:
+    def test_cli_import_skips_scipy_signal_and_stats(self):
+        # Either module costs about a second of every command's start-up.
+        src = str(pathlib.Path(rainlidar.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys, rainlidar.cli; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestEvaluate:

@@ -135,6 +135,81 @@ class TestMSTLength:
             mst_length([[0, 0, 0]])
 
 
+def boolean_mask_mst_length(points):
+    """The Prim loop with a boolean visited mask and a new array per step,
+    as mst_length computed it before the loop ran in place."""
+    pts = np.asarray(points, dtype=float)
+    n = pts.shape[0]
+    if n >= 64:
+        sq_norms = (pts**2).sum(axis=1)
+        dist_sq = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (pts @ pts.T)
+        np.clip(dist_sq, 0.0, None, out=dist_sq)
+    else:
+        diff = pts[:, None, :] - pts[None, :, :]
+        dist_sq = (diff**2).sum(axis=-1)
+    visited = np.zeros(n, dtype=bool)
+    visited[0] = True
+    best_sq = dist_sq[0].copy()
+    best_sq[0] = np.inf
+    edges_sq = np.empty(n - 1)
+    for i in range(n - 1):
+        j = int(np.argmin(best_sq))
+        edges_sq[i] = best_sq[j]
+        visited[j] = True
+        best_sq = np.minimum(best_sq, dist_sq[j])
+        best_sq[visited] = np.inf
+    return float(np.sort(np.sqrt(edges_sq)).sum())
+
+
+class TestMSTBitIdentity:
+    """The in-place Prim loop returns the boolean-mask loop's value bit for bit."""
+
+    def test_random_point_sets_both_distance_formulas(self):
+        rng = np.random.default_rng(2024)
+        for n in range(2, 131):
+            pts = rng.uniform(-10, 10, (n, 3))
+            assert mst_length(pts) == boolean_mask_mst_length(pts), n
+
+    def test_duplicate_points(self):
+        # Repeated points give zero-length edges and argmin ties.
+        rng = np.random.default_rng(7)
+        for n in (3, 20, 63, 64, 90):
+            base = rng.uniform(-1, 1, (max(n // 3, 1), 3))
+            pts = base[rng.integers(0, base.shape[0], n)]
+            assert mst_length(pts) == boolean_mask_mst_length(pts), n
+
+    def test_all_points_identical(self):
+        for n in (2, 5, 63, 64, 100):
+            pts = np.tile([1.5, -2.0, 0.25], (n, 1))
+            got = mst_length(pts)
+            assert got == boolean_mask_mst_length(pts)
+            assert repr(got) == "0.0"
+
+    def test_collinear_points(self):
+        rng = np.random.default_rng(11)
+        for n in (2, 10, 63, 64, 120):
+            t = rng.uniform(-5, 5, n)
+            pts = np.outer(t, [0.3, -1.2, 2.0]) + np.array([1.0, 2.0, 3.0])
+            assert mst_length(pts) == boolean_mask_mst_length(pts), n
+
+    @pytest.mark.parametrize(
+        "n, expected",
+        [
+            (2, "0.6608419562758105"),
+            (10, "3.1079899161004"),
+            (47, "9.125947028155567"),
+            (63, "11.15248868202208"),
+            (64, "11.410220725458863"),
+            (119, "16.608952090928415"),
+        ],
+    )
+    def test_reference_values_pinned(self, n, expected, monkeypatch):
+        # Recomputed, not served from the cache; values recorded with the
+        # boolean-mask loop.
+        monkeypatch.setattr(features, "_reference_cache", {})
+        assert repr(uniform_mst_reference(n, CropBox(0.5))) == expected
+
+
 class TestUniformReference:
     def test_two_point_expected_distance(self):
         # Mean distance of two uniform points in a unit cube is the Robbins

@@ -18,6 +18,7 @@ from rainlidar.moe import (
     mixture_cdf,
     mixture_density,
     point_estimate,
+    quantile_thresholds,
     summarize_predictions,
     train,
 )
@@ -121,6 +122,43 @@ class TestBuildTreeSpec:
     def test_depth_bounds(self):
         with pytest.raises(InvalidInputError):
             build_tree_spec(7, (0.0, 80.0))
+
+
+class TestQuantileThresholds:
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
+    def test_every_expert_gets_its_share(self, depth):
+        rng = np.random.default_rng(depth)
+        targets = rng.gamma(2.0, 8.0, 70)
+        heap = quantile_thresholds(targets, depth)
+        spec = build_tree_spec(depth, (0.0, 80.0), heap)
+        in_range = targets[targets < 80.0]
+        counts = [np.count_nonzero((in_range >= a) & (in_range < b)) for a, b in spec.expert_ranges]
+        assert sum(counts) == in_range.size
+        assert min(counts) >= in_range.size // 2**depth >= 2
+
+    def test_midway_between_order_statistics_in_heap_order(self):
+        targets = np.arange(1.0, 9.0)  # 8 targets, 2 per expert at depth 2
+        assert quantile_thresholds(targets[::-1], 2) == [4.5, 2.5, 6.5]
+
+    def test_targets_outside_range_ignored(self):
+        targets = [1.0, 2.0, 3.0, 4.0, 90.0, 95.0, 99.0]
+        assert quantile_thresholds(targets, 1, (0.0, 80.0)) == [2.5]
+
+    def test_too_few_targets(self):
+        with pytest.raises(TrainingError, match="depth-2 .* 7 distinct"):
+            quantile_thresholds(np.arange(7.0), 2)
+
+    def test_ties_at_a_cut(self):
+        # 30 zeros put every cut at 0: the lowest range [0, 0) is empty.
+        targets = np.concatenate([np.zeros(30), [5.0, 6.0]])
+        with pytest.raises(TrainingError, match="depth-1 .* 3 distinct"):
+            quantile_thresholds(targets, 1)
+
+    def test_invalid_depth_or_range(self):
+        with pytest.raises(InvalidInputError):
+            quantile_thresholds(np.arange(500.0), 7)
+        with pytest.raises(InvalidInputError):
+            quantile_thresholds(np.arange(500.0), 2, (0.0, -5.0))
 
 
 class TestTrain:

@@ -104,6 +104,26 @@ class TestSavgol:
             savgol(np.arange(5.0), window=9)
 
 
+class TestSavgolOracle:
+    """The numpy filter against scipy's ``savgol_filter(mode="interp")``."""
+
+    @pytest.mark.parametrize(
+        "window, order", [(1, 0), (3, 1), (5, 2), (7, 3), (9, 0), (9, 2), (11, 4)]
+    )
+    def test_matches_scipy_interp(self, window, order):
+        from scipy.signal import savgol_filter
+
+        rng = np.random.default_rng(100 * window + order)
+        for n in (window, window + 1, 40, 150):
+            y = rng.uniform(0.0, 50.0, n)
+            np.testing.assert_allclose(
+                savgol(y, window=window, order=order),
+                savgol_filter(y, window_length=window, polyorder=order, mode="interp"),
+                rtol=1e-12,
+                atol=0,
+            )
+
+
 class TestTrimSegments:
     def test_basic_trim(self):
         series = series_of(np.arange(30.0))

@@ -41,6 +41,11 @@ FEATURE_NAMES = (
 _REFERENCE_STREAM = 0x4D5354
 DEFAULT_REFERENCE_REPS = 16
 
+# MST distance formula switch and the entry budget of one lockstep chunk
+# (2 MB of float64 distances); see _mst_lengths.
+_GRAM_MIN_POINTS = 64
+_CHUNK_ELEMENTS = 1 << 18
+
 _reference_cache: dict[tuple[int, int, int], float] = {}
 
 
@@ -132,39 +137,95 @@ def crop(scan: Scan, box: CropBox) -> Scan:
 def mst_length(points) -> float:
     """Total Euclidean edge length of a minimum spanning tree.
 
-    Prim's algorithm over the dense pairwise distances, O(n^2) time and O(n)
-    memory. Edge weights are accumulated in sorted order, so the value is
-    invariant under point permutations down to the last bit.
+    Prim's algorithm over the dense pairwise distances: O(n^2) time and
+    memory, run by the batch kernel :func:`_mst_lengths` on this one set.
+    Edge weights are accumulated in sorted order, so the value is invariant
+    under point permutations down to the last bit.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise InvalidInputError("MST needs at least 2 points")
-    n = pts.shape[0]
-    # Squared pairwise distances; sqrt is monotone, so selecting edges on
-    # squares is equivalent and the root is taken only for chosen edges.
-    # Larger point sets use the BLAS Gram identity, which differs from the
-    # subtraction form only in the last float bits.
-    if n >= 64:
-        sq_norms = (pts**2).sum(axis=1)
-        dist_sq = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (pts @ pts.T)
-        np.clip(dist_sq, 0.0, None, out=dist_sq)
-    else:
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist_sq = (diff**2).sum(axis=-1)
+    return float(_mst_lengths([pts])[0])
+
+
+def _mst_lengths(point_sets) -> np.ndarray:
+    """MST lengths of many (n_i, d) point sets, each n_i >= 2, in one batch.
+
+    Each set's squared pairwise distances use one of two formulas: sets of
+    _GRAM_MIN_POINTS or more points the BLAS Gram identity, smaller sets the
+    differences, squared and added coordinate by coordinate (the same bits
+    as ``((a - b)**2).sum(-1)``); the two differ only in the last float bits.
+    The sets are sorted by size and cut into chunks whose (B, m, m) stack of
+    distance matrices, padded to the chunk's largest set m, holds at most
+    _CHUNK_ELEMENTS entries, so memory stays bounded whatever the batch.
+
+    Prim's steps run in lockstep over a chunk. Selection uses squared
+    distances only through comparisons (sqrt is monotone), the padded
+    columns are +inf so they are never chosen before a real point, and
+    ``argmin`` takes the first index on ties, so each set gets the edges
+    that a Prim loop over that set alone would pick. Each set's length is
+    the sum of the roots of its n_i - 1 edges in sorted order.
+    """
+    sizes = [p.shape[0] for p in point_sets]
+    order = sorted(range(len(sizes)), key=sizes.__getitem__)
+    lengths = np.empty(len(sizes))
+    start = 0
+    while start < len(order):
+        stop = start + 1
+        while stop < len(order) and (stop + 1 - start) * sizes[order[stop]] ** 2 <= _CHUNK_ELEMENTS:
+            stop += 1
+        chunk = order[start:stop]
+        lengths[chunk] = _prim_chunk([point_sets[i] for i in chunk])
+        start = stop
+    return lengths
+
+
+def _prim_chunk(point_sets) -> list:
+    """:func:`_mst_lengths` of sets sorted by increasing size, in lockstep."""
+    n = np.array([p.shape[0] for p in point_sets])
+    b_count, m = n.size, int(n[-1])
+    pts = np.zeros((b_count, m, point_sets[0].shape[1]))
+    for b, p in enumerate(point_sets):
+        pts[b, : n[b]] = p
+    # Sets are sorted, so the ones below the Gram switch come first.
+    small = int(np.searchsorted(n, _GRAM_MIN_POINTS))
+    dist = np.empty((b_count, m, m))
+    near = dist[:small]
+    np.subtract(pts[:small, :, None, 0], pts[:small, None, :, 0], out=near)
+    near *= near
+    diff = np.empty_like(near)
+    for c in range(1, pts.shape[2]):
+        np.subtract(pts[:small, :, None, c], pts[:small, None, :, c], out=diff)
+        diff *= diff
+        near += diff
+    del diff
+    for b in range(small, b_count):
+        p = point_sets[b]
+        sq_norms = (p**2).sum(axis=1)
+        gram = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (p @ p.T)
+        np.clip(gram, 0.0, None, out=gram)
+        dist[b] = np.inf
+        dist[b, : n[b], : n[b]] = gram
+    np.copyto(dist, np.inf, where=(np.arange(m) >= n[:, None])[:, None, :])
     # best_sq is updated in place; done is 0 for unvisited points and inf
     # for visited ones, so the maximum keeps visited entries at inf.
-    done = np.zeros(n)
-    done[0] = np.inf
-    best_sq = dist_sq[0].copy()
-    best_sq[0] = np.inf
-    edges_sq = np.empty(n - 1)
-    for i in range(n - 1):
-        j = int(best_sq.argmin())
-        edges_sq[i] = best_sq[j]
-        done[j] = np.inf
-        np.minimum(best_sq, dist_sq[j], out=best_sq)
+    rows = np.arange(b_count)
+    done = np.zeros((b_count, m))
+    done[:, 0] = np.inf
+    best_sq = dist[:, 0].copy()
+    best_sq[:, 0] = np.inf
+    edges = np.empty((b_count, m - 1))
+    for i in range(m - 1):
+        j = best_sq.argmin(axis=1)
+        edges[:, i] = best_sq[rows, j]
+        done[rows, j] = np.inf
+        np.minimum(best_sq, dist[rows, j], out=best_sq)
         np.maximum(best_sq, done, out=best_sq)
-    return float(np.sort(np.sqrt(edges_sq)).sum())
+    # A set's steps after its own n - 1 edges find only inf, which the sort
+    # moves behind its real edges.
+    np.sqrt(edges, out=edges)
+    edges.sort(axis=1)
+    return [edges[b, :k].sum() for b, k in enumerate((n - 1).tolist())]
 
 
 def uniform_mst_reference(
@@ -188,7 +249,7 @@ def uniform_mst_reference(
     unit = _reference_cache.get(key)
     if unit is None:
         rng = np.random.default_rng([_REFERENCE_STREAM, int(seed), n, int(reps)])
-        unit = float(np.mean([mst_length(rng.random((n, 3))) for _ in range(reps)]))
+        unit = float(np.mean(_mst_lengths(rng.random((int(reps), n, 3)))))
         _reference_cache[key] = unit
     return unit * 2.0 * box.half_extent
 
@@ -204,19 +265,28 @@ def normalized_mst(
     return mst_length(pts) / uniform_mst_reference(pts.shape[0], box, seed=seed, reps=reps)
 
 
+def _crop_means(scan: Scan, box: CropBox):
+    """Crop, then the cropped points with their mean intensity and mean radial
+    distance (None for an empty crop)."""
+    cropped = crop(scan, box)
+    if cropped.n_points == 0:
+        return cropped.xyz, None, None
+    return (
+        cropped.xyz,
+        float(cropped.intensity.mean()),
+        float(np.linalg.norm(cropped.xyz, axis=1).mean()),
+    )
+
+
 def scan_features(scan: Scan, box: CropBox) -> ScanFeatures:
     """Crop, then compute count, mean intensity, mean radial distance, MST ratio.
 
     Features that need points are None on empty scans; the MST ratio needs
     at least two points.
     """
-    cropped = crop(scan, box)
-    n = cropped.n_points
-    if n == 0:
-        return ScanFeatures(0, None, None, None)
-    mean_intensity = float(cropped.intensity.mean())
-    mean_radial = float(np.linalg.norm(cropped.xyz, axis=1).mean())
-    norm = normalized_mst(cropped.xyz, box) if n >= 2 else None
+    xyz, mean_intensity, mean_radial = _crop_means(scan, box)
+    n = xyz.shape[0]
+    norm = normalized_mst(xyz, box) if n >= 2 else None
     return ScanFeatures(n, mean_intensity, mean_radial, norm)
 
 
@@ -224,20 +294,29 @@ def scan_feature_rows(scans, box: CropBox, indices=None, out=None) -> np.ndarray
     """Per-scan feature table: count, mean intensity, mean radial, MST ratio.
 
     Row ``i`` holds the :func:`scan_features` of ``scans[i]`` (a sequence),
-    with NaN where a feature is undefined. Only the rows in ``indices``
-    (default: all) are computed, one :func:`scan_features` call each; the
-    other rows of ``out`` (default: a new all-NaN table) are left as they are.
+    with NaN where a feature is undefined, bit for bit. Only the rows in
+    ``indices`` (default: all) are computed, each scan cropped once and the
+    MSTs of all of them in one :func:`_mst_lengths` batch; the other rows of
+    ``out`` (default: a new all-NaN table) are left as they are.
     """
     if out is None:
         out = np.full((len(scans), 4), np.nan)
+    mst_rows, mst_points = [], []
     for i in range(len(scans)) if indices is None else indices:
-        f = scan_features(scans[i], box)
+        xyz, mean_intensity, mean_radial = _crop_means(scans[i], box)
+        n = xyz.shape[0]
         out[i] = [
-            f.n_points,
-            np.nan if f.mean_intensity is None else f.mean_intensity,
-            np.nan if f.mean_radial is None else f.mean_radial,
-            np.nan if f.norm_mst is None else f.norm_mst,
+            n,
+            np.nan if mean_intensity is None else mean_intensity,
+            np.nan if mean_radial is None else mean_radial,
+            np.nan,
         ]
+        if n >= 2:
+            mst_rows.append(i)
+            mst_points.append(xyz)
+    if mst_rows:
+        reference = [uniform_mst_reference(p.shape[0], box) for p in mst_points]
+        out[mst_rows, 3] = _mst_lengths(mst_points) / np.array(reference)
     return out
 
 

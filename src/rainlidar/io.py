@@ -67,10 +67,10 @@ def atomic_write_text(path, text: str) -> None:
 def write_scans(path, scans) -> None:
     lines = []
     for scan in scans:
-        fields = [str(int(scan.frame_id)), repr(float(scan.timestamp))]
-        for (x, y, z), p in zip(scan.xyz, scan.intensity):
-            fields.extend((repr(float(x)), repr(float(y)), repr(float(z)), repr(float(p))))
-        lines.append(" ".join(fields))
+        values = np.column_stack((scan.xyz, scan.intensity)).ravel().tolist()
+        lines.append(
+            " ".join([str(int(scan.frame_id)), repr(float(scan.timestamp)), *map(repr, values)])
+        )
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 

@@ -257,9 +257,10 @@ def _slide_windows(
 
     Returns ``(counts, windows)``: a :class:`WindowingResult` with the window
     and skip counts, and a generator of ``(start, end, target, vector)`` for
-    the kept windows in time order (target None without ``series``). Each
-    scan of a kept window is featurized once, into a per-scan table, when
-    the first window holding it is reached; every vector is reduced from its
+    the kept windows in time order (target None without ``series``). When
+    the first vector is asked for, the scans of the kept windows, and no
+    others, are featurized once each into a per-scan table by one
+    :func:`scan_feature_rows` batch; every vector is reduced from its
     window's slice of that table.
     """
     times = np.array([s.timestamp for s in scans])
@@ -292,10 +293,11 @@ def _slide_windows(
         kept.append((start, end, target, i0, i1))
 
     def vectors():
-        table = np.full((len(scans), 4), np.nan)
+        used = np.zeros(len(scans), dtype=bool)
+        for _, _, _, i0, i1 in kept:
+            used[i0:i1] = True
+        table = scan_feature_rows(scans, box, np.flatnonzero(used))
         for start, end, target, i0, i1 in kept:
-            todo = i0 + np.flatnonzero(np.isnan(table[i0:i1, 0]))
-            scan_feature_rows(scans, box, todo, out=table)
             yield start, end, target, reduce_window(table[i0:i1])
 
     return counts, vectors()

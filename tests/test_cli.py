@@ -281,13 +281,13 @@ class TestPredict:
         scan_path = tmp_path / "gappy_scans.txt"
         rio.write_scans(scan_path, scans)
         seen = []
-        real = features.scan_features
+        real = features.crop
 
         def counting(scan, box):
             seen.append(scan.frame_id)
             return real(scan, box)
 
-        monkeypatch.setattr(features, "scan_features", counting)
+        monkeypatch.setattr(features, "crop", counting)
         out = tmp_path / "stream.csv"
         assert main([
             "predict", "--model", str(workspace["model"]), "--scans", str(scan_path),

@@ -162,7 +162,7 @@ def boolean_mask_mst_length(points):
 
 
 class TestMSTBitIdentity:
-    """The in-place Prim loop returns the boolean-mask loop's value bit for bit."""
+    """mst_length returns the boolean-mask loop's value bit for bit."""
 
     def test_random_point_sets_both_distance_formulas(self):
         rng = np.random.default_rng(2024)
@@ -208,6 +208,72 @@ class TestMSTBitIdentity:
         # boolean-mask loop.
         monkeypatch.setattr(features, "_reference_cache", {})
         assert repr(uniform_mst_reference(n, CropBox(0.5))) == expected
+
+
+def tie_heavy_sets(rng):
+    """Point sets with argmin ties: duplicate, collinear and all-identical points."""
+    sets = []
+    for n in (2, 3, 20, 63, 64, 90):
+        base = rng.uniform(-1, 1, (max(n // 3, 1), 3))
+        sets.append(base[rng.integers(0, base.shape[0], n)])
+        t = rng.uniform(-5, 5, n)
+        sets.append(np.outer(t, [0.3, -1.2, 2.0]) + np.array([1.0, 2.0, 3.0]))
+        sets.append(np.tile([1.5, -2.0, 0.25], (n, 1)))
+        # integer grid points: many equal distances
+        sets.append(rng.integers(0, 3, (n, 3)).astype(float))
+    return sets
+
+
+class TestBatchedMSTKernel:
+    """``_mst_lengths`` on a batch equals the boolean-mask loop on each set, bit for bit."""
+
+    @staticmethod
+    def assert_bit_identical(sets):
+        got = features._mst_lengths(sets)
+        assert got.shape == (len(sets),)
+        expected = [boolean_mask_mst_length(p) for p in sets]
+        mismatched = [p.shape[0] for p, a, b in zip(sets, got.tolist(), expected) if a != b]
+        assert mismatched == []
+
+    def test_mixed_sizes_both_distance_formulas(self):
+        rng = np.random.default_rng(41)
+        sizes = rng.permutation(np.concatenate([np.arange(2, 131), rng.integers(2, 131, 200)]))
+        self.assert_bit_identical([rng.uniform(-10, 10, (int(n), 3)) for n in sizes])
+
+    def test_ties_mixed_with_random_sets(self):
+        rng = np.random.default_rng(42)
+        sets = tie_heavy_sets(rng) + [rng.uniform(-1, 1, (int(n), 3)) for n in (2, 5, 47, 64, 100)]
+        self.assert_bit_identical([sets[i] for i in rng.permutation(len(sets))])
+
+    def test_batch_larger_than_one_chunk(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        sets = [rng.uniform(-10, 10, (int(n), 3)) for n in rng.integers(30, 70, 700)]
+        assert sum(p.shape[0] ** 2 for p in sets) > features._CHUNK_ELEMENTS
+        chunks = []
+        real = features._prim_chunk
+
+        def counting(point_sets):
+            chunks.append(len(point_sets))
+            return real(point_sets)
+
+        monkeypatch.setattr(features, "_prim_chunk", counting)
+        self.assert_bit_identical(sets)
+        assert len(chunks) > 1 and sum(chunks) == len(sets)
+
+    def test_small_chunk_budget(self, monkeypatch):
+        # Chunks of a few sets each, so most chunks mix sizes and pad.
+        monkeypatch.setattr(features, "_CHUNK_ELEMENTS", 20_000)
+        rng = np.random.default_rng(44)
+        sets = tie_heavy_sets(rng) + [rng.uniform(-3, 3, (int(n), 3)) for n in rng.integers(2, 120, 80)]
+        self.assert_bit_identical(sets)
+
+    def test_single_set(self):
+        rng = np.random.default_rng(45)
+        for n in (2, 47, 63, 64, 119):
+            self.assert_bit_identical([rng.uniform(-10, 10, (n, 3))])
+
+    def test_empty_batch(self):
+        assert features._mst_lengths([]).shape == (0,)
 
 
 class TestUniformReference:
@@ -413,17 +479,32 @@ class TestScanFeatureRows:
                 row, [np.nan if v is None else v for v in expected]
             )
 
+    def test_batched_rows_equal_scan_features_exactly(self):
+        # Crops from 0 to about 120 points, both sides of the Gram switch.
+        rng = np.random.default_rng(63)
+        box = CropBox(5.0)
+        scans = [
+            make_scan(rng.uniform(-6, 6, (n, 3)), intensity=rng.random(n), frame_id=i)
+            for i, n in enumerate(rng.permutation(np.arange(0, 200, 2)).tolist())
+        ]
+        rows = scan_feature_rows(scans, box)
+        for scan, row in zip(scans, rows.tolist()):
+            f = scan_features(scan, box)
+            expected = [f.n_points, f.mean_intensity, f.mean_radial, f.norm_mst]
+            assert [None if np.isnan(v) else v for v in row] == expected
+        assert np.nanmax(rows[:, 0]) >= 64 and np.nanmin(rows[:, 0]) < 2
+
     def test_only_given_indices_computed(self, monkeypatch):
         rng = np.random.default_rng(61)
         scans = random_window(rng, 12)
         seen = []
-        real = features.scan_features
+        real = features.crop
 
         def counting(scan, box):
             seen.append(scan.frame_id)
             return real(scan, box)
 
-        monkeypatch.setattr(features, "scan_features", counting)
+        monkeypatch.setattr(features, "crop", counting)
         rows = scan_feature_rows(scans, CropBox(10.0), indices=[3, 7, 8])
         assert seen == [3, 7, 8]
         assert not np.isnan(rows[[3, 7, 8], 0]).any()

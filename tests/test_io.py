@@ -30,7 +30,45 @@ def random_scans(seed=0, n_scans=5):
     return scans
 
 
+def per_point_write_scans(path, scans):
+    """The scan writer as it was before it built lines from one list per scan."""
+    lines = []
+    for scan in scans:
+        fields = [str(int(scan.frame_id)), repr(float(scan.timestamp))]
+        for (x, y, z), p in zip(scan.xyz, scan.intensity):
+            fields.extend((repr(float(x)), repr(float(y)), repr(float(z)), repr(float(p))))
+        lines.append(" ".join(fields))
+    rio.atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+
+
 class TestScanFormat:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bytes_equal_per_point_writer(self, tmp_path, seed):
+        scans = random_scans(seed=seed, n_scans=12)
+        # empty scans, signed zero, integral floats, and values that repr
+        # writes in exponent form
+        scans.append(Scan(np.zeros((0, 3)), np.zeros(0), 1.5, 12))
+        scans.append(
+            Scan(
+                [[-0.0, 0.0, 1e16], [1e-5, -1e-5, 3.0], [2.0, -7.0, 1e22]],
+                [0.0, 1.0, 1e16],
+                -0.0,
+                13,
+            )
+        )
+        scans.append(Scan(np.zeros((0, 3)), np.zeros(0), 1e16, 14))
+        new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+        rio.write_scans(new, scans)
+        per_point_write_scans(old, scans)
+        assert new.read_bytes() == old.read_bytes()
+        assert b" -0.0 0.0 1e+16 " in new.read_bytes()
+
+    def test_no_scans_writes_an_empty_file(self, tmp_path):
+        new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+        rio.write_scans(new, [])
+        per_point_write_scans(old, [])
+        assert new.read_bytes() == old.read_bytes() == b""
+
     def test_round_trip_bitwise(self, tmp_path):
         scans = random_scans(seed=3, n_scans=8)
         path = tmp_path / "scans.txt"

@@ -268,16 +268,16 @@ def slice_of(scans, start, end):
     return scans[i0:i1]
 
 
-def counting_scan_features(monkeypatch):
-    """Record the frame id of every ``scan_features`` call."""
+def counting_crops(monkeypatch):
+    """Record the frame id of every ``crop`` call: featurizing a scan crops it once."""
     seen = []
-    real = features.scan_features
+    real = features.crop
 
     def counting(scan, box):
         seen.append(scan.frame_id)
         return real(scan, box)
 
-    monkeypatch.setattr(features, "scan_features", counting)
+    monkeypatch.setattr(features, "crop", counting)
     return seen
 
 
@@ -384,7 +384,7 @@ class TestFeaturizeCallCount:
         scans = [scan_at(t) for t in np.arange(0, 300) / 10]
         # the series covers 0..5 s of the 30 s session
         series = RainSeries([0.0, 5.0], [5.0, 5.0], [0, 0])
-        seen = counting_scan_features(monkeypatch)
+        seen = counting_crops(monkeypatch)
         result = make_windows(scans, 1.0, CropBox(10.0), series)
         assert len(result.samples) == 5
         assert result.n_skipped_no_target == 25
@@ -393,7 +393,7 @@ class TestFeaturizeCallCount:
     def test_overlapping_windows_featurize_each_scan_once(self, monkeypatch):
         scans = [scan_at(t) for t in np.arange(0, 200) / 10]
         series = series_of(np.full(3, 5.0))
-        seen = counting_scan_features(monkeypatch)
+        seen = counting_crops(monkeypatch)
         result = make_windows(
             scans, 10.0, CropBox(10.0), series, stride=1.0, allow_overlap=True
         )

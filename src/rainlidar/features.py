@@ -67,9 +67,9 @@ class Scan:
         intensity = np.asarray(self.intensity, dtype=float).reshape(-1)
         if xyz.shape[0] != intensity.shape[0]:
             raise InvalidInputError("xyz and intensity lengths differ")
-        if xyz.size and not np.all(np.isfinite(xyz)):
+        if xyz.size and not np.isfinite(xyz).all():
             raise InvalidInputError("point coordinates must be finite")
-        if intensity.size and (np.any(intensity < 0) or not np.all(np.isfinite(intensity))):
+        if intensity.size and ((intensity < 0).any() or not np.isfinite(intensity).all()):
             raise InvalidInputError("intensities must be finite and non-negative")
         object.__setattr__(self, "xyz", xyz)
         object.__setattr__(self, "intensity", intensity)
@@ -127,10 +127,15 @@ class WindowSample:
 
 
 def crop(scan: Scan, box: CropBox) -> Scan:
-    """Keep points with |x|, |y|, |z| <= half_extent; order preserved."""
+    """Keep points with |x|, |y|, |z| <= half_extent; order preserved.
+
+    A scan with no point outside the box is returned as it is.
+    """
     if scan.n_points == 0:
         return scan
-    keep = np.all(np.abs(scan.xyz) <= box.half_extent, axis=1)
+    keep = (np.abs(scan.xyz) <= box.half_extent).all(axis=1)
+    if keep.all():
+        return scan
     return Scan(scan.xyz[keep], scan.intensity[keep], scan.timestamp, scan.frame_id)
 
 

@@ -16,10 +16,10 @@ and mixes the expert Gaussians into one predictive distribution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import InvalidInputError, TrainingError
 from .features import FeatureStats, standardize_apply, standardize_fit
@@ -34,6 +34,9 @@ from .vblearn import (
 
 MODEL_FORMAT_VERSION = 1
 BRANCH_CONVENTION = "gate True = target above threshold = right branch"
+
+# 1/sqrt(2), the argument scale and the erf/erfc switch of _ndtr_scalar.
+_SQRT1_2 = math.sqrt(0.5)
 
 # Seed stream tag for per-gate class balancing draws.
 _BALANCE_STREAM = 0xBA1A
@@ -427,10 +430,30 @@ def _responsibilities(gate_probs: np.ndarray, depth: int) -> np.ndarray:
     return resp
 
 
+def _ndtr_scalar(a: float) -> float:
+    """Standard normal CDF, computed as scipy's ``ndtr``.
+
+    With x = a / sqrt(2): 0.5 + 0.5 erf(x) for |x| < 1/sqrt(2), otherwise
+    0.5 erfc(|x|), mirrored to 1 - 0.5 erfc(x) for x > 0, so neither tail
+    loses its digits to cancellation.
+    """
+    x = a * _SQRT1_2
+    if abs(x) < _SQRT1_2:
+        return 0.5 + 0.5 * math.erf(x)
+    y = 0.5 * math.erfc(abs(x))
+    return 1.0 - y if x > 0 else y
+
+
+def _ndtr(a) -> np.ndarray:
+    """:func:`_ndtr_scalar` of each element of ``a``, in an array of its shape."""
+    a = np.asarray(a, dtype=float)
+    return np.fromiter(map(_ndtr_scalar, a.ravel().tolist()), float, a.size).reshape(a.shape)
+
+
 def _band_error_probability(resp, means, variances, center, half_width) -> float:
     sd = np.sqrt(variances)
-    upper = float(resp @ ndtr((center + half_width - means) / sd))
-    lower = float(resp @ ndtr((center - half_width - means) / sd))
+    upper = float(resp @ _ndtr((center + half_width - means) / sd))
+    lower = float(resp @ _ndtr((center - half_width - means) / sd))
     return float(min(max(1.0 - (upper - lower), 0.0), 1.0))
 
 
@@ -484,7 +507,7 @@ def mixture_cdf(pred: MixturePrediction, y):
     """Mixture cumulative distribution sum_m P_m Phi((y - mu_m) / sd_m)."""
     y_arr = np.asarray(y, dtype=float)
     z = (y_arr[..., None] - pred.means) / np.sqrt(pred.variances)
-    out = ndtr(z) @ pred.responsibilities
+    out = _ndtr(z) @ pred.responsibilities
     return float(out) if np.ndim(y) == 0 else out
 
 

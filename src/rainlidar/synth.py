@@ -157,7 +157,7 @@ class RegimeParams:
 
     def _progress(self, rate: float) -> float:
         lo, hi = self.rate_range
-        return float(np.clip((rate - lo) / (hi - lo), 0.0, 1.0))
+        return min(max((rate - lo) / (hi - lo), 0.0), 1.0)
 
     def expected_count(self, rate: float) -> float:
         c0, c1, c2 = self.count_coeffs

@@ -11,14 +11,16 @@ posteriors, so their predictive distributions are closed form:
     expert: y | x ~ Normal(mu_N^T phi(x), beta^-1 + phi^T Sigma_N phi)
 
 where phi is the basis expansion configured by :class:`BasisConfig`.
+The three special functions these fits need (the logistic sigmoid, digamma
+and log-gamma) are computed here with numpy and :mod:`math`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, expit, gammaln
 
 from .errors import InvalidInputError, NumericalError
 
@@ -32,6 +34,44 @@ _CONDITION_LIMIT = 1e12
 # when an expert interpolates its samples exactly (predictive variance
 # floor of 1e-12).
 BETA_MAX = 1e12
+
+# Digamma: the recurrence shifts x up to this value, where the asymptotic
+# series below has first omitted term 1 / (12 x^14) < 1e-15.
+_DIGAMMA_SHIFT = 10.0
+
+# B_2k / (2k) for k = 1..6: psi(x) ~ ln x - 1/(2x) - sum_k c_k x^(-2k).
+_DIGAMMA_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760)
+
+
+def _expit(x):
+    """Logistic sigmoid 1 / (1 + exp(-x)), computed as scipy's ``expit``.
+
+    A float gives a float, 0.0 where exp(-x) overflows. An array gives an
+    array; callers pass only values >= 0, for which exp(-x) cannot overflow.
+    """
+    if isinstance(x, np.ndarray):
+        return 1.0 / (1.0 + np.exp(-x))
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
+
+
+def _digamma(x: float) -> float:
+    """Digamma function psi(x) = d/dx ln Gamma(x) of a float x > 0.
+
+    psi(x) = psi(x + 1) - 1/x moves x to at least _DIGAMMA_SHIFT, where the
+    asymptotic series takes over.
+    """
+    shift = 0.0
+    while x < _DIGAMMA_SHIFT:
+        shift -= 1.0 / x
+        x += 1.0
+    z = 1.0 / (x * x)
+    series = 0.0
+    for c in reversed(_DIGAMMA_SERIES):
+        series = series * z + c
+    return shift + math.log(x) - 0.5 / x - series * z
 
 
 @dataclass(frozen=True)
@@ -104,7 +144,7 @@ def lambda_jj(xi):
         raise InvalidInputError("xi must be finite and non-negative")
     out = np.full(arr.shape, 0.125)
     big = arr > 1e-6
-    out[big] = (expit(arr[big]) - 0.5) / (2.0 * arr[big])
+    out[big] = (_expit(arr[big]) - 0.5) / (2.0 * arr[big])
     return float(out[0]) if np.ndim(xi) == 0 else out
 
 
@@ -272,7 +312,7 @@ def fit_vb_logistic(
             0.5 * np.linalg.slogdet(cov)[1]
             + 0.5 * d * np.log(prior_precision)
             + 0.5 * float(mu @ prec @ mu)
-            + float(np.sum(np.log(expit(xi)) - 0.5 * xi + lam * xi**2))
+            + float(np.sum(np.log(_expit(xi)) - 0.5 * xi + lam * xi**2))
         )
         trace.append(bound)
         converged = np.isfinite(prev_bound) and abs(bound - prev_bound) <= tol * max(
@@ -303,7 +343,7 @@ def predict_gate(posterior: GatePosterior, x) -> float:
         )
     activation = float(posterior.mean @ phi)
     activation_var = float(phi @ posterior.covariance @ phi)
-    return float(expit(kappa(activation_var) * activation))
+    return float(_expit(kappa(activation_var) * activation))
 
 
 def _linear_elbo(y, Phi, mu, cov, beta, a0, b0, a_n, b_n, fixed_alpha):
@@ -321,10 +361,10 @@ def _linear_elbo(y, Phi, mu, cov, beta, a0, b0, a_n, b_n, fixed_alpha):
         )
         return loglik + prior_w + entropy_w
     e_alpha = a_n / b_n
-    e_ln_alpha = digamma(a_n) - np.log(b_n)
+    e_ln_alpha = _digamma(a_n) - np.log(b_n)
     prior_w = -0.5 * d * np.log(2 * np.pi) + 0.5 * d * e_ln_alpha - 0.5 * e_alpha * expected_w2
-    prior_alpha = a0 * np.log(b0) - gammaln(a0) + (a0 - 1) * e_ln_alpha - b0 * e_alpha
-    entropy_alpha = a_n - np.log(b_n) + gammaln(a_n) + (1 - a_n) * digamma(a_n)
+    prior_alpha = a0 * np.log(b0) - math.lgamma(a0) + (a0 - 1) * e_ln_alpha - b0 * e_alpha
+    entropy_alpha = a_n - np.log(b_n) + math.lgamma(a_n) + (1 - a_n) * _digamma(a_n)
     return loglik + prior_w + prior_alpha + entropy_w + entropy_alpha
 
 

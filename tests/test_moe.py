@@ -10,6 +10,7 @@ from rainlidar.moe import (
     MixturePrediction,
     MoEModel,
     TrainConfig,
+    _ndtr,
     build_tree_spec,
     error_probability,
     evaluate,
@@ -348,6 +349,63 @@ class TestMixtureDensity:
         grid = np.arange(-100.0, 15.0 + 1e-9, 0.005)
         integral = np.trapezoid(mixture_density(pred, grid), grid)
         assert mixture_cdf(pred, 15.0) == pytest.approx(integral, abs=1e-6)
+
+
+class TestNdtrOracle:
+    """The normal CDF against ``scipy.special.ndtr``."""
+
+    def test_both_branches_around_the_switch(self):
+        # |a| < 1 takes erf, the rest erfc; a = +-1 itself takes erfc.
+        a = np.concatenate([
+            np.linspace(-1.01, -0.99, 2_001),
+            np.linspace(0.99, 1.01, 2_001),
+            [-1.0, 1.0, np.nextafter(-1.0, 0.0), np.nextafter(1.0, 0.0), 0.0, -0.0],
+        ])
+        np.testing.assert_allclose(_ndtr(a), ndtr(a), rtol=1e-14, atol=0)
+
+    def test_normal_draws_and_moderate_tails(self):
+        a = np.concatenate([
+            np.random.default_rng(7).normal(size=50_000),
+            np.linspace(-10.0, 10.0, 20_001),
+        ])
+        np.testing.assert_allclose(_ndtr(a), ndtr(a), rtol=1e-14, atol=0)
+
+    def test_far_tails(self):
+        # Out to a = -37.5, where the lower tail is still a normal float.
+        # scipy's erfc takes exp(-x^2) from a rounded x^2, an error that
+        # grows as x^2 eps (5.7e-14 relative at a = -37.5), so the bound
+        # grows the same way beyond its floor of 1e-14.
+        a = np.linspace(-37.5, 38.0, 30_001)
+        got, want = _ndtr(a), ndtr(a)
+        x2 = 0.5 * a * a
+        rtol = np.maximum(1e-14, x2 * np.finfo(float).eps)
+        assert np.all(np.abs(got - want) <= rtol * want)
+        assert _ndtr(38.0) == 1.0
+
+    def test_subnormal_tail_stays_tiny_and_ordered(self):
+        # Below a = -37.7 scipy underflows to 0; math.erfc keeps subnormals.
+        a = np.linspace(-38.0, -37.5, 51)
+        got = _ndtr(a)
+        assert np.all(got >= 0.0) and np.all(got < 1e-307)
+        assert np.all(np.diff(got) > 0)
+
+    def test_shapes_preserved(self):
+        a = np.random.default_rng(3).normal(0.0, 3.0, (4, 5, 2))
+        got = _ndtr(a)
+        assert got.shape == (4, 5, 2)
+        np.testing.assert_allclose(got, ndtr(a), rtol=1e-14, atol=0)
+        scalar = _ndtr(0.3)
+        assert scalar.shape == () and float(scalar) == pytest.approx(float(ndtr(0.3)), rel=1e-14)
+        assert _ndtr(np.empty((0, 3))).shape == (0, 3)
+
+    def test_mixture_cdf_equals_scipy_sum(self):
+        pred = make_prediction([0.2, 0.5, 0.3], [5.0, 20.0, 40.0], [2.0, 9.0, 30.0])
+        y = np.linspace(-20.0, 80.0, 400).reshape(20, 20)
+        want = ndtr((y[..., None] - pred.means) / np.sqrt(pred.variances)) @ pred.responsibilities
+        got = mixture_cdf(pred, y)
+        assert got.shape == (20, 20)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-300)
+        assert isinstance(mixture_cdf(pred, 15.0), float)
 
 
 class TestPointEstimate:

@@ -1,14 +1,19 @@
 """Unit and oracle tests for the variational node models."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import digamma, expit, gammaln
 
 from rainlidar.errors import InvalidInputError
 from rainlidar.vblearn import (
     BasisConfig,
     ExpertPosterior,
     GatePosterior,
+    _digamma,
+    _expit,
     apply_basis,
     design_matrix,
     fit_vb_linear,
@@ -92,6 +97,67 @@ class TestKappa:
     def test_monotone_decreasing(self):
         vals = [kappa(s) for s in np.linspace(0, 20, 200)]
         assert np.all(np.diff(vals) < 0)
+
+
+def digamma_grid():
+    """(0, 100] with every shift count of the recurrence, plus the a0 + D/2
+    values at which the expert bound evaluates digamma (a0 = 1e-2, D = 1..33)."""
+    return np.unique(np.concatenate([
+        np.linspace(0.0, 100.0, 20_001)[1:],
+        np.geomspace(1e-6, 1.0, 601),
+        np.arange(1, 101, dtype=float),
+        1e-2 + np.arange(1, 34) / 2.0,
+    ]))
+
+
+class TestSpecialFunctionOracles:
+    """The sigmoid, digamma and log-gamma against ``scipy.special``."""
+
+    def test_expit_scalar_is_bit_identical(self):
+        xs = np.concatenate([
+            np.random.default_rng(0).normal(0.0, 15.0, 20_000),
+            np.linspace(-745.0, 40.0, 5_001),
+            [0.0, -0.0, 1e-300, -1e-300, 36.7, 709.0, -709.0, -709.8],
+        ])
+        for x in xs.tolist():
+            got = _expit(x)
+            assert type(got) is float
+            assert got == float(expit(x)), x
+
+    def test_expit_array_within_two_ulp(self):
+        # The gate fit passes only xi >= 0; numpy's SIMD exp may differ from
+        # the C library's exp in the last bit.
+        xs = np.concatenate([
+            np.abs(np.random.default_rng(1).normal(0.0, 10.0, 100_000)),
+            np.linspace(0.0, 800.0, 8_001),
+        ])
+        got = _expit(xs)
+        want = expit(xs)
+        assert got.shape == xs.shape
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
+
+    def test_expit_underflows_to_zero_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _expit(-1000.0) == 0.0
+            assert _expit(np.float64(-1000.0)) == 0.0
+            assert _expit(1000.0) == 1.0
+
+    def test_digamma_absolute_error(self):
+        xs = digamma_grid()
+        got = np.array([_digamma(x) for x in xs.tolist()])
+        want = digamma(xs)
+        # Absolute from 0.5 up, where |psi| <= 4.6. Below, psi(x) ~ -1/x
+        # grows without bound, and the rounding of -1/x with it (3.4e-13
+        # absolute at x = 1.2e-3), so the bound there is relative.
+        big = xs >= 0.5
+        assert np.max(np.abs(got - want)[big]) <= 1e-14
+        assert np.all(np.abs(got - want)[~big] <= 1e-14 * np.abs(want[~big]))
+
+    def test_lgamma_matches_gammaln(self):
+        xs = digamma_grid()
+        got = np.array([math.lgamma(x) for x in xs.tolist()])
+        np.testing.assert_allclose(got, gammaln(xs), rtol=1e-14, atol=1e-14)
 
 
 class TestFitVBLogistic:

@@ -238,7 +238,7 @@ def cmd_predict(args) -> int:
     if not scans:
         raise InvalidInputError("no scans to predict on")
     counts, windows = _slide_windows(
-        scans, box, buffer_s, args.emit_period, limit=scans[-1].timestamp, end_anchored=True
+        scans, box, buffer_s, args.emit_period, limit=float(scans.timestamps[-1]), end_anchored=True
     )
     lines = []
     n_experts = model.spec.n_experts

@@ -1,7 +1,9 @@
 """Point cloud statistics: crop filtering, MST clustering measure, and
 windowed 8-dimensional feature vectors.
 
-A scan is reduced to four per-scan statistics (point count, mean intensity,
+A stream of scans is held as a :class:`ScanTable`: flat point arrays cut
+into scans by offsets, read as a sequence of :class:`Scan` views. A scan is
+reduced to four per-scan statistics (point count, mean intensity,
 mean radial distance, normalized MST length), one row of a per-scan table
 with NaN where a statistic is undefined; a window of scans is a slice of
 that table, reduced to the mean and population standard deviation of each
@@ -19,7 +21,9 @@ towards the box boundary).
 
 from __future__ import annotations
 
+import operator
 import warnings as _warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,18 +69,128 @@ class Scan:
     def __post_init__(self):
         xyz = np.asarray(self.xyz, dtype=float).reshape(-1, 3)
         intensity = np.asarray(self.intensity, dtype=float).reshape(-1)
-        if xyz.shape[0] != intensity.shape[0]:
-            raise InvalidInputError("xyz and intensity lengths differ")
-        if xyz.size and not np.isfinite(xyz).all():
-            raise InvalidInputError("point coordinates must be finite")
-        if intensity.size and ((intensity < 0).any() or not np.isfinite(intensity).all()):
-            raise InvalidInputError("intensities must be finite and non-negative")
+        _check_points(xyz, intensity)
         object.__setattr__(self, "xyz", xyz)
         object.__setattr__(self, "intensity", intensity)
 
     @property
     def n_points(self) -> int:
         return self.xyz.shape[0]
+
+
+def _check_points(xyz: np.ndarray, intensity: np.ndarray) -> None:
+    """Raise InvalidInputError unless (n, 3) ``xyz`` and (n,) ``intensity``
+    hold finite coordinates and finite, non-negative intensities."""
+    if xyz.shape[0] != intensity.shape[0]:
+        raise InvalidInputError("xyz and intensity lengths differ")
+    if xyz.size and not np.isfinite(xyz).all():
+        raise InvalidInputError("point coordinates must be finite")
+    if intensity.size and ((intensity < 0).any() or not np.isfinite(intensity).all()):
+        raise InvalidInputError("intensities must be finite and non-negative")
+
+
+def _id_array(frame_ids) -> np.ndarray:
+    """Frame ids as a 1-d int array (object dtype for ids beyond int64)."""
+    ids = np.asarray(frame_ids).reshape(-1)
+    return ids if ids.size else np.empty(0, dtype=np.int64)
+
+
+class ScanTable(Sequence):
+    """A stream of scans in columnar form, read as a sequence of :class:`Scan`.
+
+    Scan ``i`` has ``frame_ids[i]``, ``timestamps[i]`` and the points
+    ``offsets[i]:offsets[i + 1]`` of the flat (N, 3) ``xyz`` and (N,)
+    ``intensity`` arrays. The points are validated once, over the flat
+    arrays, as :class:`Scan` validates its own. An int index gives a
+    :class:`Scan` view of one scan and a slice a table view of a run of
+    scans; neither copies points. A slice with a step, like
+    :meth:`take`, gathers a copy.
+    """
+
+    __slots__ = ("frame_ids", "timestamps", "offsets", "xyz", "intensity")
+
+    def __init__(self, frame_ids, timestamps, offsets, xyz, intensity):
+        frame_ids = _id_array(frame_ids)
+        timestamps = np.asarray(timestamps, dtype=float).reshape(-1)
+        offsets = np.asarray(offsets, dtype=np.intp).reshape(-1)
+        xyz = np.asarray(xyz, dtype=float).reshape(-1, 3)
+        intensity = np.asarray(intensity, dtype=float).reshape(-1)
+        if not offsets.size == timestamps.size + 1 == frame_ids.size + 1:
+            raise InvalidInputError("one frame id, timestamp and offset per scan required")
+        if offsets[0] != 0 or offsets[-1] != xyz.shape[0] or np.any(np.diff(offsets) < 0):
+            raise InvalidInputError("offsets must rise from 0 to the point count")
+        _check_points(xyz, intensity)
+        self._set(frame_ids, timestamps, offsets, xyz, intensity)
+
+    def _set(self, frame_ids, timestamps, offsets, xyz, intensity):
+        self.frame_ids, self.timestamps, self.offsets = frame_ids, timestamps, offsets
+        self.xyz, self.intensity = xyz, intensity
+
+    @classmethod
+    def _trusted(cls, *columns) -> ScanTable:
+        """A table of columns already in shape and validated."""
+        table = cls.__new__(cls)
+        table._set(*columns)
+        return table
+
+    @classmethod
+    def from_scans(cls, scans) -> ScanTable:
+        """The table of a sequence of :class:`Scan` (a table is returned as it is)."""
+        if isinstance(scans, ScanTable):
+            return scans
+        scans = list(scans)
+        offsets = np.zeros(len(scans) + 1, dtype=np.intp)
+        np.cumsum(np.array([s.n_points for s in scans], dtype=np.intp), out=offsets[1:])
+        return cls(
+            [int(s.frame_id) for s in scans],
+            [s.timestamp for s in scans],
+            offsets,
+            np.concatenate([s.xyz for s in scans]) if scans else np.empty((0, 3)),
+            np.concatenate([s.intensity for s in scans]) if scans else np.empty(0),
+        )
+
+    def __len__(self) -> int:
+        return self.timestamps.size
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            start, stop, step = key.indices(len(self))
+            if step != 1:
+                return self.take(range(start, stop, step))
+            stop = max(start, stop)
+            a, b = self.offsets[start], self.offsets[stop]
+            return ScanTable._trusted(
+                self.frame_ids[start:stop],
+                self.timestamps[start:stop],
+                self.offsets[start : stop + 1] - a,
+                self.xyz[a:b],
+                self.intensity[a:b],
+            )
+        i = operator.index(key)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("scan index out of range")
+        a, b = self.offsets[i], self.offsets[i + 1]
+        return Scan(
+            self.xyz[a:b], self.intensity[a:b], float(self.timestamps[i]), int(self.frame_ids[i])
+        )
+
+    def take(self, indices) -> ScanTable:
+        """A new table of the scans at ``indices``, in that order (points copied)."""
+        rows = np.arange(len(self))[np.asarray(indices, dtype=np.intp)]
+        starts = self.offsets[rows]
+        counts = self.offsets[rows + 1] - starts
+        offsets = np.zeros(rows.size + 1, dtype=np.intp)
+        np.cumsum(counts, out=offsets[1:])
+        points = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], counts)
+        return ScanTable._trusted(
+            self.frame_ids[rows],
+            self.timestamps[rows],
+            offsets,
+            self.xyz[points],
+            self.intensity[points],
+        )
 
 
 @dataclass(frozen=True)
@@ -270,55 +384,65 @@ def normalized_mst(
     return mst_length(pts) / uniform_mst_reference(pts.shape[0], box, seed=seed, reps=reps)
 
 
-def _crop_means(scan: Scan, box: CropBox):
-    """Crop, then the cropped points with their mean intensity and mean radial
-    distance (None for an empty crop)."""
-    cropped = crop(scan, box)
-    if cropped.n_points == 0:
-        return cropped.xyz, None, None
-    return (
-        cropped.xyz,
-        float(cropped.intensity.mean()),
-        float(np.linalg.norm(cropped.xyz, axis=1).mean()),
-    )
-
-
 def scan_features(scan: Scan, box: CropBox) -> ScanFeatures:
     """Crop, then compute count, mean intensity, mean radial distance, MST ratio.
 
     Features that need points are None on empty scans; the MST ratio needs
     at least two points.
     """
-    xyz, mean_intensity, mean_radial = _crop_means(scan, box)
-    n = xyz.shape[0]
-    norm = normalized_mst(xyz, box) if n >= 2 else None
-    return ScanFeatures(n, mean_intensity, mean_radial, norm)
+    cropped = crop(scan, box)
+    n = cropped.n_points
+    if n == 0:
+        return ScanFeatures(0, None, None, None)
+    return ScanFeatures(
+        n,
+        float(cropped.intensity.mean()),
+        float(np.linalg.norm(cropped.xyz, axis=1).mean()),
+        normalized_mst(cropped.xyz, box) if n >= 2 else None,
+    )
 
 
 def scan_feature_rows(scans, box: CropBox, indices=None, out=None) -> np.ndarray:
     """Per-scan feature table: count, mean intensity, mean radial, MST ratio.
 
-    Row ``i`` holds the :func:`scan_features` of ``scans[i]`` (a sequence),
-    with NaN where a feature is undefined, bit for bit. Only the rows in
-    ``indices`` (default: all) are computed, each scan cropped once and the
-    MSTs of all of them in one :func:`_mst_lengths` batch; the other rows of
-    ``out`` (default: a new all-NaN table) are left as they are.
+    Row ``i`` holds the :func:`scan_features` of scan ``i`` of ``scans`` (a
+    :class:`ScanTable`, or a sequence of :class:`Scan` taken through
+    :meth:`ScanTable.from_scans`), with NaN where a feature is undefined,
+    bit for bit. Only the rows in ``indices`` (default: all) are computed;
+    the other rows of ``out`` (default: a new all-NaN table) are left as
+    they are.
+
+    The points of those scans are cropped by one mask over the flat arrays,
+    which keeps their order, so each scan's cropped points are one slice of
+    the cropped flat arrays; each mean is a ``.mean()`` of such a slice, the
+    same bits as over the scan's own crop. The MSTs of all the scans run in
+    one :func:`_mst_lengths` batch.
     """
+    table = ScanTable.from_scans(scans)
     if out is None:
-        out = np.full((len(scans), 4), np.nan)
+        out = np.full((len(table), 4), np.nan)
+    if indices is None:
+        rows = np.arange(len(table))
+    else:
+        rows = np.asarray(indices, dtype=np.intp).reshape(-1)
+        table = table.take(rows)
+    keep = (np.abs(table.xyz) <= box.half_extent).all(axis=1)
+    # kept[i]:kept[i + 1] is scan i's slice of the cropped flat arrays.
+    kept = np.zeros(keep.size + 1, dtype=np.intp)
+    np.cumsum(keep, out=kept[1:])
+    kept = kept[table.offsets]
+    xyz, intensity = table.xyz[keep], table.intensity[keep]
+    radial = np.linalg.norm(xyz, axis=1)
+    out[rows] = np.nan
+    out[rows, 0] = np.diff(kept)
     mst_rows, mst_points = [], []
-    for i in range(len(scans)) if indices is None else indices:
-        xyz, mean_intensity, mean_radial = _crop_means(scans[i], box)
-        n = xyz.shape[0]
-        out[i] = [
-            n,
-            np.nan if mean_intensity is None else mean_intensity,
-            np.nan if mean_radial is None else mean_radial,
-            np.nan,
-        ]
-        if n >= 2:
+    for i, a, b in zip(rows.tolist(), kept[:-1].tolist(), kept[1:].tolist()):
+        if b > a:
+            out[i, 1] = intensity[a:b].mean()
+            out[i, 2] = radial[a:b].mean()
+        if b - a >= 2:
             mst_rows.append(i)
-            mst_points.append(xyz)
+            mst_points.append(xyz[a:b])
     if mst_rows:
         reference = [uniform_mst_reference(p.shape[0], box) for p in mst_points]
         out[mst_rows, 3] = _mst_lengths(mst_points) / np.array(reference)
@@ -360,7 +484,7 @@ def window_features(scans, box: CropBox) -> np.ndarray:
     The per-scan table of :func:`scan_feature_rows` reduced by
     :func:`reduce_window`.
     """
-    return reduce_window(scan_feature_rows(list(scans), box))
+    return reduce_window(scan_feature_rows(scans, box))
 
 
 @dataclass(frozen=True)

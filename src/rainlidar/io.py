@@ -7,6 +7,12 @@ Scan records (one scan per line, space separated)::
 
     frame_id timestamp x y z intensity [x y z intensity ...]
 
+are read into one :class:`~rainlidar.features.ScanTable`, a block of
+lines at a time. A block of single-spaced ASCII lines with finite values
+is parsed by one C-level ``np.fromstring`` pass; any other block goes line
+by line through ``int`` and ``float``, which decide what a malformed file
+is: its first bad line is reported as ``path:line:``.
+
 Disdrometer tracks: CSV with mandatory header
 ``timestamp_s,rate_mm_h,segment_id``.
 
@@ -30,12 +36,20 @@ import io as _io
 import json
 import os
 import tempfile
+import warnings as _warnings
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FileFormatError
-from .features import FEATURE_NAMES, FeatureStats, Scan, WindowSample
+from .features import (
+    FEATURE_NAMES,
+    FeatureStats,
+    ScanTable,
+    WindowSample,
+    _check_points,
+    _id_array,
+)
 from .moe import MODEL_FORMAT_VERSION, MoEModel, TreeSpec
 from .pipeline import Dataset, RainSeries
 from .vblearn import BasisConfig, ExpertPosterior, GatePosterior
@@ -74,30 +88,140 @@ def write_scans(path, scans) -> None:
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def read_scans(path) -> list:
-    scans = []
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            tokens = line.split()
-            if len(tokens) < 2 or (len(tokens) - 2) % 4 != 0:
-                raise FileFormatError(
-                    f"{path}:{lineno}: expected 'frame_id timestamp' plus "
-                    f"(x, y, z, intensity) quadruples, got {len(tokens)} fields"
-                )
-            try:
-                frame_id = int(tokens[0])
-                timestamp = float(tokens[1])
-                values = np.array([float(v) for v in tokens[2:]], dtype=float)
-            except ValueError as exc:
-                raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
-            quads = values.reshape(-1, 4)
-            scans.append(
-                Scan(xyz=quads[:, :3], intensity=quads[:, 3], timestamp=timestamp, frame_id=frame_id)
+# Scan files are read this many bytes at a time, cut back to a line end.
+SCAN_BLOCK_BYTES = 1 << 22
+
+
+def read_scans(path) -> ScanTable:
+    """Read a scan file into a :class:`ScanTable`.
+
+    Blank lines are skipped. A line with a field count other than 2 + 4k, a
+    token that ``int`` (frame id) or ``float`` rejects, raises
+    FileFormatError with ``path:line:``; a non-finite point value or a
+    negative intensity raises InvalidInputError. The first bad line of the
+    file decides which.
+    """
+    # Seeded so that the offsets start at 0 and an empty file gives an empty table.
+    frame_ids, timestamps, counts, quads = [], [np.empty(0)], [[0]], [np.empty((0, 4))]
+    lines_before = 0
+    with open(path, "rb") as handle:
+        rest = b""
+        while True:
+            chunk = handle.read(SCAN_BLOCK_BYTES)
+            data = rest + chunk
+            if chunk:
+                cut = data.rfind(b"\n") + 1
+                if cut == 0:
+                    rest = data
+                    continue
+                data, rest = data[:cut], data[cut:]
+            if data:
+                block = _parse_block(data) or _parse_lines(data, path, lines_before)
+                ids, times, n_points, points, n_lines = block
+                frame_ids.extend(ids)
+                timestamps.append(times)
+                counts.append(n_points)
+                quads.append(points)
+                lines_before += n_lines
+            if not chunk:
+                break
+    points = np.concatenate(quads)
+    return ScanTable._trusted(
+        _id_array(frame_ids),
+        np.concatenate(timestamps),
+        np.cumsum(np.concatenate(counts)),
+        points[:, :3],
+        points[:, 3],
+    )
+
+
+def _parse_block(data: bytes):
+    """The scans of a block of whole lines by one ``np.fromstring`` pass.
+
+    Returns ``(frame_ids, timestamps, point_counts, (P, 4) points, lines)``
+    with the points validated, or None unless the result provably equals
+    :func:`_parse_lines`. The block must be ASCII (no locale then makes
+    a byte a blank) with ``' '`` and ``'\\n'`` as its only whitespace, and
+    the parse must succeed. Each line then
+    holds at most (spaces + 1) values, exactly that many only when it is
+    single-spaced and not blank, so a value count equal to the sum of
+    (spaces + 1) over the lines proves every line's count. Each line must
+    also have 2 + 4k fields and a frame id that ``int`` accepts, and every
+    value must be finite (``np.fromstring`` takes spellings of NaN that
+    ``float`` rejects).
+    """
+    if not data.isascii() or any(byte in data for byte in b"\r\t\x0b\x0c"):
+        return None
+    try:
+        with _warnings.catch_warnings():
+            # numpy releases that warn on unparsed text instead of raising
+            _warnings.simplefilter("error", DeprecationWarning)
+            values = np.fromstring(data, sep=" ")
+    except (ValueError, DeprecationWarning):
+        return None
+    starts, fields = [], []
+    start = 0
+    while start < len(data):
+        stop = data.find(b"\n", start)
+        stop = len(data) if stop < 0 else stop
+        starts.append(start)
+        fields.append(data.count(b" ", start, stop) + 1)
+        start = stop + 1
+    fields = np.array(fields)
+    if fields.sum() != values.size or np.any((fields - 2) % 4) or not np.isfinite(values).all():
+        return None
+    try:
+        frame_ids = [int(data[a : data.index(b" ", a)]) for a in starts]
+    except ValueError:
+        return None
+    heads = np.cumsum(fields) - fields
+    is_point = np.ones(values.size, dtype=bool)
+    is_point[heads] = False
+    is_point[heads + 1] = False
+    points = values[is_point].reshape(-1, 4)
+    _check_points(points[:, :3], points[:, 3])
+    return frame_ids, values[heads + 1], (fields - 2) // 4, points, len(starts)
+
+
+def _parse_lines(data: bytes, path, lines_before: int):
+    """The scans of a block of whole lines, parsed and validated line by line.
+
+    Lines are decoded and split as a text-mode file of their own would be;
+    ``lines_before`` is the number of file lines ahead of the block.
+    Returns what :func:`_parse_block` returns.
+    """
+    frame_ids, timestamps, counts, quads = [], [], [], []
+    n_lines = 0
+    for n_lines, line in enumerate(_io.TextIOWrapper(_io.BytesIO(data)), start=1):
+        lineno = lines_before + n_lines
+        line = line.strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if len(tokens) < 2 or (len(tokens) - 2) % 4 != 0:
+            raise FileFormatError(
+                f"{path}:{lineno}: expected 'frame_id timestamp' plus "
+                f"(x, y, z, intensity) quadruples, got {len(tokens)} fields"
             )
-    return scans
+        try:
+            frame_id = int(tokens[0])
+            timestamp = float(tokens[1])
+            values = np.array([float(v) for v in tokens[2:]], dtype=float)
+        except ValueError as exc:
+            raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
+        points = values.reshape(-1, 4)
+        _check_points(points[:, :3], points[:, 3])
+        frame_ids.append(frame_id)
+        timestamps.append(timestamp)
+        counts.append(points.shape[0])
+        quads.append(points)
+    return (
+        frame_ids,
+        np.array(timestamps, dtype=float),
+        np.array(counts, dtype=np.intp),
+        np.concatenate(quads) if quads else np.empty((0, 4)),
+        n_lines,
+    )
 
 
 def write_disdrometer(path, series: RainSeries) -> None:

@@ -8,8 +8,9 @@ mean of the interpolated ground truth over the window. A central slice of
 every segment is held out as validation data.
 
 ``featurize`` (:func:`make_windows`) and ``predict`` share one windowing
-path: each scan of a used window is featurized once into a per-scan table,
-and every window's vector is reduced from its slice of that table.
+path over a :class:`ScanTable`: each scan of a used window is featurized
+once into a per-scan table, and every window's vector is reduced from its
+slice of that table.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidInputError
-from .features import CropBox, WindowSample, reduce_window, scan_feature_rows
+from .features import CropBox, ScanTable, WindowSample, reduce_window, scan_feature_rows
 
 DEFAULT_SAVGOL_WINDOW = 9
 DEFAULT_SAVGOL_ORDER = 2
@@ -206,6 +207,7 @@ def make_windows(
 ) -> WindowingResult:
     """Slice a time-ordered scan stream into feature/target window samples.
 
+    ``scans`` is a :class:`ScanTable` or a sequence of :class:`Scan`.
     Windows are [start, start + duration) with start = t0 + k * stride
     (default: stride = duration, i.e. non-overlapping). Windows without a
     ground-truth target or with fewer than two scans are skipped and counted.
@@ -222,13 +224,13 @@ def make_windows(
         raise InvalidInputError(
             "stride < duration produces overlapping windows; pass allow_overlap=True"
         )
-    scans = list(scans)
+    scans = ScanTable.from_scans(scans)
     if not scans:
         return WindowingResult(samples=[])
-    gaps = np.diff([s.timestamp for s in scans])
+    gaps = np.diff(scans.timestamps)
     slack = float(np.median(gaps)) if gaps.size else 0.0
     result, windows = _slide_windows(
-        scans, box, duration, stride, limit=scans[-1].timestamp + slack, series=series
+        scans, box, duration, stride, limit=float(scans.timestamps[-1]) + slack, series=series
     )
     result.samples = [
         WindowSample(features=vector, target=target, window=(start, end), provenance=session_id)
@@ -238,7 +240,7 @@ def make_windows(
 
 
 def _slide_windows(
-    scans: list,
+    scans,
     box: CropBox,
     duration: float,
     period: float,
@@ -248,9 +250,10 @@ def _slide_windows(
 ):
     """The one windowing path, shared by :func:`make_windows` and ``rainlidar predict``.
 
-    ``scans`` is a non-empty list. With t0 the first scan time, window k
-    starts at t0 + k * period and lasts ``duration``; ``end_anchored``
-    windows instead end at t0 + duration + k * period. Windows end no later
+    ``scans`` is a non-empty :class:`ScanTable` or sequence of
+    :class:`Scan`. With t0 the first scan time, window k starts at
+    t0 + k * period and lasts ``duration``; ``end_anchored`` windows
+    instead end at t0 + duration + k * period. Windows end no later
     than ``limit``; a window holds the scans with start <= timestamp < end,
     both edges moved EDGE_TOLERANCE early. Windows with fewer than two scans
     are skipped, and with ``series`` so are windows without a target.
@@ -263,7 +266,8 @@ def _slide_windows(
     :func:`scan_feature_rows` batch; every vector is reduced from its
     window's slice of that table.
     """
-    times = np.array([s.timestamp for s in scans])
+    scans = ScanTable.from_scans(scans)
+    times = scans.timestamps
     if np.any(np.diff(times) < 0):
         raise InvalidInputError("scans must be time-ordered")
     t0 = float(times[0])
@@ -296,9 +300,9 @@ def _slide_windows(
         used = np.zeros(len(scans), dtype=bool)
         for _, _, _, i0, i1 in kept:
             used[i0:i1] = True
-        table = scan_feature_rows(scans, box, np.flatnonzero(used))
+        rows = scan_feature_rows(scans, box, np.flatnonzero(used))
         for start, end, target, i0, i1 in kept:
-            yield start, end, target, reduce_window(table[i0:i1])
+            yield start, end, target, reduce_window(rows[i0:i1])
 
     return counts, vectors()
 

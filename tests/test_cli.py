@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 import rainlidar
-from rainlidar import features
+from rainlidar import features, pipeline
 from rainlidar import io as rio
 from rainlidar.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from rainlidar.features import Scan, WindowSample
+from rainlidar.features import Scan, ScanTable, WindowSample
 from rainlidar.pipeline import Dataset
 
 SMALL_SEGMENTS = "300:7:10,300:15:10,300:30:10,300:50:10"
@@ -95,6 +95,30 @@ class TestFeaturize:
         ]) == EXIT_OK
         assert "empty" in capsys.readouterr().err
         assert len(rio.read_dataset(out)) == 0
+
+
+class TestScanColumns:
+    def test_featurize_and_predict_build_no_scan(self, workspace, tmp_path, monkeypatch):
+        # both commands work on the columns of the ScanTable read from the file
+        built = []
+        real = Scan.__post_init__
+
+        def counting(scan):
+            built.append(scan.frame_id)
+            real(scan)
+
+        monkeypatch.setattr(Scan, "__post_init__", counting)
+        monkeypatch.setattr(features, "crop", lambda *a: built.append("crop"))
+        assert main([
+            "featurize", "--scans", str(workspace["scans"]), "--rain", str(workspace["rain"]),
+            "--out", str(tmp_path / "dataset.csv"), "--duration", "10", "--box", "10",
+        ]) == EXIT_OK
+        assert main([
+            "predict", "--model", str(workspace["model"]), "--scans", str(workspace["scans"]),
+            "--emit-period", "30", "--out", str(tmp_path / "stream.csv"),
+        ]) == EXIT_OK
+        assert built == []
+        assert (tmp_path / "dataset.csv").read_bytes() == workspace["dataset"].read_bytes()
 
 
 class TestTrain:
@@ -282,13 +306,13 @@ class TestPredict:
         scan_path = tmp_path / "gappy_scans.txt"
         rio.write_scans(scan_path, scans)
         seen = []
-        real = features.crop
+        real = pipeline.scan_feature_rows
 
-        def counting(scan, box):
-            seen.append(scan.frame_id)
-            return real(scan, box)
+        def counting(scans, box, indices=None, out=None):
+            seen.extend(ScanTable.from_scans(scans).frame_ids[indices].tolist())
+            return real(scans, box, indices, out)
 
-        monkeypatch.setattr(features, "crop", counting)
+        monkeypatch.setattr(pipeline, "scan_feature_rows", counting)
         out = tmp_path / "stream.csv"
         assert main([
             "predict", "--model", str(workspace["model"]), "--scans", str(scan_path),

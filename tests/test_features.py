@@ -2,15 +2,18 @@
 
 import itertools
 import warnings
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
 
 from rainlidar import features
+from rainlidar import io as rio
 from rainlidar.errors import InvalidInputError
 from rainlidar.features import (
     CropBox,
     Scan,
+    ScanTable,
     crop,
     mst_length,
     normalized_mst,
@@ -497,14 +500,16 @@ class TestScanFeatureRows:
     def test_only_given_indices_computed(self, monkeypatch):
         rng = np.random.default_rng(61)
         scans = random_window(rng, 12)
+        # the scans whose points are gathered for the crop
         seen = []
-        real = features.crop
+        real = ScanTable.take
 
-        def counting(scan, box):
-            seen.append(scan.frame_id)
-            return real(scan, box)
+        def counting(table, indices):
+            taken = real(table, indices)
+            seen.extend(taken.frame_ids.tolist())
+            return taken
 
-        monkeypatch.setattr(features, "crop", counting)
+        monkeypatch.setattr(ScanTable, "take", counting)
         rows = scan_feature_rows(scans, CropBox(10.0), indices=[3, 7, 8])
         assert seen == [3, 7, 8]
         assert not np.isnan(rows[[3, 7, 8], 0]).any()
@@ -532,6 +537,179 @@ class TestScanFeatureRows:
     def test_reduce_window_rejects_single_row(self):
         with pytest.raises(InvalidInputError):
             reduce_window(np.ones((1, 4)))
+
+
+def edge_scans(rng, box):
+    """Scans at the edges of the flat crop: faces, empty crops, few and many points."""
+    h = box.half_extent
+    face = rng.uniform(-h, h, (40, 3))
+    face[::2, 0] = h
+    face[1::4, 1] = -h
+    face[3::4, 2] = np.nextafter(h, np.inf)  # just outside
+    signed_zero = rng.uniform(-h, h, (6, 3))
+    signed_zero[:, 1] = -0.0
+    signed_zero[::2, 0] = 0.0
+    point_sets = [
+        face,
+        rng.uniform(h * 1.01, h * 2, (7, 3)) * rng.choice([-1.0, 1.0], (7, 3)),  # all outside
+        np.zeros((0, 3)),
+        rng.uniform(-h, h, (1, 3)),
+        rng.uniform(-h, h, (2, 3)),
+        np.array([[h, -h, h], [-h, h, -h]]),  # two corners
+        rng.uniform(-h, h, (64, 3)),
+        rng.uniform(-h * 1.2, h * 1.2, (150, 3)),  # about 86 kept
+        signed_zero,
+        np.full((3, 3), -0.0),
+    ]
+    return [
+        make_scan(p, intensity=rng.random(len(p)), timestamp=0.1 * i, frame_id=i)
+        for i, p in enumerate(point_sets)
+    ]
+
+
+def expected_row(scan, box) -> np.ndarray:
+    f = scan_features(scan, box)
+    values = [f.n_points, f.mean_intensity, f.mean_radial, f.norm_mst]
+    return np.array([np.nan if v is None else v for v in values])
+
+
+class TestFlatCrop:
+    """The per-scan table over a ScanTable against per-scan scan_features."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_equal_scan_features_bitwise(self, seed):
+        rng = np.random.default_rng([64, seed])
+        box = CropBox(float(rng.choice([1.0, 2.5, 10.0])))
+        scans = edge_scans(rng, box)
+        order = rng.permutation(len(scans))
+        scans = [scans[i] for i in order]
+        table = ScanTable.from_scans(scans)
+        rows = scan_feature_rows(table, box)
+        for i, scan in enumerate(scans):
+            assert rows[i].tobytes() == expected_row(scan, box).tobytes()
+            assert rows[i].tobytes() == expected_row(table[i], box).tobytes()
+        assert rows[:, 0].tolist().count(0) >= 2  # the empty and all-outside scans
+        assert np.nanmax(rows[:, 0]) >= 64
+
+    def test_rows_of_a_read_file_equal_scan_features_bitwise(self, tmp_path):
+        # the reader's table holds its points as views of one (N, 4) array
+        rng = np.random.default_rng(68)
+        box = CropBox(2.5)
+        scans = edge_scans(rng, box)
+        path = tmp_path / "scans.txt"
+        rio.write_scans(path, scans)
+        rows = scan_feature_rows(rio.read_scans(path), box)
+        for i, scan in enumerate(scans):
+            assert rows[i].tobytes() == expected_row(scan, box).tobytes()
+
+    def test_face_points_kept(self):
+        box = CropBox(2.0)
+        scan = make_scan([[2.0, -2.0, 0.0], [-2.0, 2.0, 2.0], [2.0 + 1e-15, 0.0, 0.0]])
+        assert scan_feature_rows([scan], box)[0, 0] == 2
+
+    def test_subset_rows_equal_full_table(self):
+        rng = np.random.default_rng(65)
+        box = CropBox(2.0)
+        table = ScanTable.from_scans(edge_scans(rng, box))
+        full = scan_feature_rows(table, box)
+        part = scan_feature_rows(table, box, indices=[8, 0, 6])
+        assert part[[0, 6, 8]].tobytes() == full[[0, 6, 8]].tobytes()
+        assert np.isnan(np.delete(part, [0, 6, 8], axis=0)).all()
+
+    def test_window_features_of_a_table_slice_equal_the_list(self):
+        rng = np.random.default_rng(66)
+        box = CropBox(10.0)
+        scans = random_window(rng, 30)
+        table = ScanTable.from_scans(scans)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = window_features(table[5:17], box)
+            assert np.array_equal(got, window_features(scans[5:17], box))
+
+
+class TestScanTable:
+    def _scans(self, n=6):
+        rng = np.random.default_rng(67)
+        return [
+            make_scan(
+                rng.uniform(-3, 3, (k, 3)), intensity=rng.random(k), timestamp=0.1 * i, frame_id=10 + i
+            )
+            for i, k in enumerate([3, 0, 5, 1, 0, 4][:n])
+        ]
+
+    def test_sequence_of_scans(self):
+        scans = self._scans()
+        table = ScanTable.from_scans(scans)
+        assert isinstance(table, Sequence)
+        assert len(table) == 6 and table.xyz.shape == (13, 3)
+        assert table.offsets.tolist() == [0, 3, 3, 8, 9, 9, 13]
+        for got, want in zip(table, scans):
+            assert isinstance(got, Scan)
+            assert (got.frame_id, got.timestamp) == (want.frame_id, want.timestamp)
+            assert np.array_equal(got.xyz, want.xyz)
+            assert np.array_equal(got.intensity, want.intensity)
+        assert len(list(table)) == 6
+        assert table[-1].frame_id == 15
+        with pytest.raises(IndexError):
+            table[6]
+
+    def test_int_index_is_a_view(self):
+        table = ScanTable.from_scans(self._scans())
+        scan = table[2]
+        assert np.shares_memory(scan.xyz, table.xyz)
+        assert np.shares_memory(scan.intensity, table.intensity)
+
+    def test_slice_is_a_table_view(self):
+        scans = self._scans()
+        table = ScanTable.from_scans(scans)
+        part = table[2:5]
+        assert isinstance(part, ScanTable)
+        assert np.shares_memory(part.xyz, table.xyz)
+        assert np.shares_memory(part.intensity, table.intensity)
+        assert part.offsets.tolist() == [0, 5, 6, 6]
+        assert [s.frame_id for s in part] == [12, 13, 14]
+        assert len(table[4:2]) == 0
+        assert [s.frame_id for s in table[::2]] == [10, 12, 14]
+        assert [s.frame_id for s in table[::-1]] == [15, 14, 13, 12, 11, 10]
+
+    def test_take(self):
+        table = ScanTable.from_scans(self._scans())
+        taken = table.take([5, 0, -4])
+        assert taken.frame_ids.tolist() == [15, 10, 12]
+        assert taken.offsets.tolist() == [0, 4, 7, 12]
+        assert np.array_equal(taken.xyz, np.concatenate([table[5].xyz, table[0].xyz, table[2].xyz]))
+        assert len(table.take([])) == 0
+
+    def test_from_scans_round_trip(self):
+        scans = self._scans()
+        table = ScanTable.from_scans(scans)
+        assert ScanTable.from_scans(table) is table
+        again = ScanTable.from_scans(list(table))
+        for name in ("frame_ids", "timestamps", "offsets", "xyz", "intensity"):
+            assert np.array_equal(getattr(again, name), getattr(table, name))
+        empty = ScanTable.from_scans([])
+        assert len(empty) == 0 and empty.xyz.shape == (0, 3)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"intensity": [1.0, -1.0, 1.0]}, "non-negative"),
+            ({"xyz": [[0.0, 0.0, np.inf]] * 3}, "finite"),
+            ({"offsets": [0, 2, 1, 3]}, "offsets"),
+            ({"offsets": [0, 1, 2]}, "one frame id"),
+        ],
+    )
+    def test_validated_once_over_flat_arrays(self, change, message):
+        columns = {
+            "frame_ids": [0, 1, 2],
+            "timestamps": [0.0, 0.1, 0.2],
+            "offsets": [0, 1, 2, 3],
+            "xyz": np.zeros((3, 3)),
+            "intensity": np.ones(3),
+        }
+        ScanTable(**columns)
+        with pytest.raises(InvalidInputError, match=message):
+            ScanTable(**{**columns, **change})
 
 
 class TestStandardize:

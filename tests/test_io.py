@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from rainlidar import io as rio
-from rainlidar.errors import FileFormatError
-from rainlidar.features import Scan, WindowSample
+from rainlidar.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from rainlidar.errors import FileFormatError, InvalidInputError
+from rainlidar.features import Scan, ScanTable, WindowSample
 from rainlidar.moe import build_tree_spec, infer, train
 from rainlidar.pipeline import Dataset, RainSeries
 from tests.test_moe import make_samples
@@ -98,6 +99,253 @@ class TestScanFormat:
         rio.write_scans(tmp_path / "scans.txt", random_scans())
         leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
         assert leftovers == []
+
+
+def per_line_read_scans(path) -> list:
+    """The scan reader as it was before it read blocks into a ScanTable."""
+    scans = []
+    with open(path) as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            tokens = line.split()
+            if len(tokens) < 2 or (len(tokens) - 2) % 4 != 0:
+                raise FileFormatError(
+                    f"{path}:{lineno}: expected 'frame_id timestamp' plus "
+                    f"(x, y, z, intensity) quadruples, got {len(tokens)} fields"
+                )
+            try:
+                frame_id = int(tokens[0])
+                timestamp = float(tokens[1])
+                values = np.array([float(v) for v in tokens[2:]], dtype=float)
+            except ValueError as exc:
+                raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
+            quads = values.reshape(-1, 4)
+            scans.append(
+                Scan(xyz=quads[:, :3], intensity=quads[:, 3], timestamp=timestamp, frame_id=frame_id)
+            )
+    return scans
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def assert_same_scans(table, scans):
+    assert isinstance(table, ScanTable)
+    assert len(table) == len(scans)
+    assert table.frame_ids.tolist() == [s.frame_id for s in scans]
+    assert bits(table.timestamps) == bits([s.timestamp for s in scans])
+    for got, want in zip(table, scans):
+        assert got.frame_id == want.frame_id
+        assert bits(got.timestamp) == bits(want.timestamp)
+        assert bits(got.xyz) == bits(want.xyz)
+        assert bits(got.intensity) == bits(want.intensity)
+
+
+def read_both(path):
+    """(new reader, oracle) results; an exception stands for its type and text."""
+    out = []
+    for reader in (rio.read_scans, per_line_read_scans):
+        try:
+            out.append(reader(path))
+        except (FileFormatError, InvalidInputError) as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+GOOD = "0 0.5 1.0 -2.0 3.0 0.25\n"
+
+
+class TestScanReaderOracle:
+    """The block reader against the per-line reader it replaced."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0 0.5 1 2 3 4\r\n1 0.6 -1 -2 -3 5\r\n",  # CRLF
+            "0 0.5 1 2 3 4\r1 0.6 -1 -2 -3 5\r",  # lone CR ends a line in text mode
+            "0\t0.5 1 2\t3 4\n",  # tabs
+            "0  0.5   1 2 3 4\n1 0.6 1    2 3 4\n",  # runs of spaces
+            # Blanks other than single spaces that leave every line with
+            # (spaces + 1) = 2 + 4k, but not its own token count; a line
+            # with four blanks too many makes up the sum.
+            "0 0.5  1  2  3  4\n1 0.6 5 6 7 8\n",
+            "    0 0.5 1 2 3 4\n1 0.6 5 6 7 8\n",
+            "0 0.5\t1\t2\t3\t4\n1 0.6  1  2  3  4\n",
+            "0 0.5\x0b1\x0c2\x0b3\x0c4\n1 0.6  1  2  3  4\n",
+            "\r".join(f"{i} 0.{i} 1 2 3 4" for i in range(5)) + "\n5 0.9  1  2  3  4\n",
+            "\n" + GOOD + "\n\n" + GOOD + "\n",  # blank lines
+            "  0 0.5 1 2 3 4\n1 0.6 1 2 3 4  \n",  # leading and trailing blanks
+            "0 0.5 1 2 3 4 5 6 7 8\n1 0.6 1 2 3 4",  # no final newline
+            "0 0.5\n1 0.6\n",  # scans without points
+            "0 0.5\x0c1 2 3 4\x0b\n",  # form feed and vertical tab are blanks
+            "0 0.5 1 2 3 4\x1f\n",  # so is the unit separator
+            "1_0 0.5 1_0 2 3 4\n",  # underscores
+            "\u0661 0.5 \u0661\u0662 2 3 4\n",  # Arabic-Indic digits
+            "+1 .5 +1 .5 1E5 -0\n",
+            "-0 -0 -0 -0.0 -0e0 -0\n",
+            "0 nan 1 2 3 4\n",  # a NaN timestamp is accepted
+            "12345678901234567890123 0.5 1 2 3 4\n",  # frame id beyond int64
+            "",
+            " \n\n",
+        ],
+    )
+    def test_accepted_files_read_as_the_oracle(self, tmp_path, text):
+        path = tmp_path / "scans.txt"
+        path.write_bytes(text.encode())
+        new, old = read_both(path)
+        assert_same_scans(new, old)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "2 0.5 0x10 2 3 4",
+            "2 0.5 nan(1) 2 3 4",
+            "2 0.5 1.5abc 2 3 4",
+            "2 0.5 --1 2 3 4",
+            "2 0.5 1e 2 3 4",
+            "2 0.5 1 2 3 1-2",
+            "2 1e 1 2 3 4",
+            "1.0 0.5 1 2 3 4",  # frame id must be an integer
+            "2 0.5 1 2 3",  # field count
+            "2",
+        ],
+    )
+    def test_malformed_line_reported_as_the_oracle(self, tmp_path, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(GOOD * 2 + line + "\n" + GOOD)
+        new, old = read_both(path)
+        assert new == old
+        assert new[0] is FileFormatError
+        assert new[1].startswith(f"{path}:3: ")
+
+    @pytest.mark.parametrize(
+        "line",
+        ["2 0.5 nan 2 3 4", "2 0.5 1 inf 3 4", "2 0.5 1 2 3 -infinity", "2 0.5 1 2 3 -0.5"],
+    )
+    def test_invalid_point_rejected_as_the_oracle(self, tmp_path, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(GOOD * 2 + line + "\n" + GOOD)
+        new, old = read_both(path)
+        assert new == old
+        assert new[0] is InvalidInputError
+
+    def test_empty_file_is_an_empty_table(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("")
+        table = rio.read_scans(path)
+        assert len(table) == 0 and not table
+        assert table.xyz.shape == (0, 3) and table.offsets.tolist() == [0]
+
+
+class TestScanReaderBlocks:
+    """Files cut into blocks far smaller than their lines."""
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(rio, "SCAN_BLOCK_BYTES", 300)
+
+    @staticmethod
+    def _render(scans):
+        """The lines that write_scans writes for ``scans``."""
+        return [
+            " ".join(
+                [str(s.frame_id), repr(s.timestamp)]
+                + [repr(v) for v in np.column_stack((s.xyz, s.intensity)).ravel().tolist()]
+            )
+            for s in scans
+        ]
+
+    def test_equal_to_oracle(self, tmp_path, small_blocks, monkeypatch):
+        path = tmp_path / "scans.txt"
+        rio.write_scans(path, random_scans(seed=11, n_scans=40))
+        assert path.stat().st_size > 20 * rio.SCAN_BLOCK_BYTES
+        # what write_scans writes never needs the line-by-line parse
+        slow = []
+        real = rio._parse_lines
+        monkeypatch.setattr(rio, "_parse_lines", lambda *a: slow.append(a) or real(*a))
+        new, old = read_both(path)
+        assert_same_scans(new, old)
+        assert slow == []
+
+    def test_blocks_read_line_by_line_keep_the_line_count(self, tmp_path, small_blocks):
+        # Lone CRs (line ends in text mode) and a run of spaces send early
+        # blocks line by line; the bad line comes blocks later.
+        lines = self._render(random_scans(seed=12, n_scans=30))
+        lines[3] = lines[3].replace(" ", "  ", 1)
+        text = "\r".join(lines[:10]) + "\r\n" + "\n".join(lines[10:25]) + "\n"
+        text += "25 9.5 1 2 1_0x 4\n" + "\n".join(lines[26:]) + "\n"
+        path = tmp_path / "bad.txt"
+        path.write_bytes(text.encode())
+        new, old = read_both(path)
+        assert new == old
+        assert new[1].startswith(f"{path}:26: ")
+
+    @pytest.mark.parametrize("where", ["last", "straddling"])
+    def test_bad_line_found(self, tmp_path, small_blocks, where):
+        lines = self._render(random_scans(seed=13, n_scans=30))
+        if where == "last":
+            index = len(lines) - 1
+        else:
+            # a line past the first block whose first byte and newline lie
+            # in different blocks of the file
+            newlines = np.cumsum([len(line) + 1 for line in lines]) - 1
+            starts = newlines - [len(line) for line in lines]
+            block = rio.SCAN_BLOCK_BYTES
+            index = next(
+                i for i in range(2, len(lines)) if starts[i] // block != newlines[i] // block
+            )
+        tokens = lines[index].split(" ")
+        tokens[-1] = tokens[-1] + "abc"
+        lines[index] = " ".join(tokens)
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(lines) + ("" if where == "last" else "\n"))
+        new, old = read_both(path)
+        assert new == old
+        assert new[1].startswith(f"{path}:{index + 1}: ")
+
+    def test_first_bad_line_decides_across_blocks(self, tmp_path, small_blocks):
+        # a negative intensity on line 2 comes before a malformed line blocks later
+        lines = self._render(random_scans(seed=14, n_scans=30))
+        lines[1] = "1 0.1 1.0 1.0 1.0 -1.0"
+        lines[-1] = "29 2.9 1.0 1.0"
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(lines) + "\n")
+        new, old = read_both(path)
+        assert new == old
+        assert new[0] is InvalidInputError
+
+
+@pytest.mark.filterwarnings("ignore:segment 0")
+class TestScanReaderExitCodes:
+    @pytest.fixture
+    def rain(self, tmp_path):
+        path = tmp_path / "rain.csv"
+        series = RainSeries(np.arange(3.0) * 10, np.full(3, 5.0), np.zeros(3, int))
+        rio.write_disdrometer(path, series)
+        return path
+
+    @pytest.mark.parametrize(
+        "line, code",
+        [
+            ("0 0.5 1 2 3 4", EXIT_OK),
+            ("0 0.5 1 2 3 0x4", EXIT_IO),
+            ("0.0 0.5 1 2 3 4", EXIT_IO),
+            ("0 0.5 1 2 3", EXIT_IO),
+            ("0 0.5 nan 2 3 4", EXIT_USAGE),
+            ("0 0.5 1 2 inf 4", EXIT_USAGE),
+            ("0 0.5 1 2 3 -4", EXIT_USAGE),
+        ],
+    )
+    def test_featurize_exit_code(self, tmp_path, rain, line, code):
+        scans = tmp_path / "scans.txt"
+        scans.write_text(GOOD + line + "\n")
+        assert main([
+            "featurize", "--scans", str(scans), "--rain", str(rain),
+            "--out", str(tmp_path / "dataset.csv"),
+        ]) == code
 
 
 class TestDisdrometerFormat:

@@ -5,9 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from rainlidar import features
+from rainlidar import pipeline
 from rainlidar.errors import InvalidInputError
-from rainlidar.features import CropBox, Scan, window_features
+from rainlidar.features import CropBox, Scan, ScanTable, window_features
 from rainlidar.pipeline import (
     EDGE_TOLERANCE,
     Dataset,
@@ -269,15 +269,15 @@ def slice_of(scans, start, end):
 
 
 def counting_crops(monkeypatch):
-    """Record the frame id of every ``crop`` call: featurizing a scan crops it once."""
+    """Record the frame id of every scan the per-scan table fill featurizes."""
     seen = []
-    real = features.crop
+    real = pipeline.scan_feature_rows
 
-    def counting(scan, box):
-        seen.append(scan.frame_id)
-        return real(scan, box)
+    def counting(scans, box, indices=None, out=None):
+        seen.extend(ScanTable.from_scans(scans).frame_ids[indices].tolist())
+        return real(scans, box, indices, out)
 
-    monkeypatch.setattr(features, "crop", counting)
+    monkeypatch.setattr(pipeline, "scan_feature_rows", counting)
     return seen
 
 

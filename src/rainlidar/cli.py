@@ -51,7 +51,8 @@ from .synth import (
     SegmentSpec,
     SensorSpec,
     default_profile,
-    generate_session,
+    disdrometer_series,
+    session_scans,
 )
 from .vblearn import BasisConfig
 
@@ -70,9 +71,11 @@ def _parse_segments(text: str) -> tuple:
         parts = chunk.split(":")
         if len(parts) not in (2, 3):
             raise InvalidInputError(f"bad segment {chunk!r}; expected duration:rate[:ramp]")
-        duration, rate = float(parts[0]), float(parts[1])
-        ramp = float(parts[2]) if len(parts) == 3 else 0.0
-        segments.append(SegmentSpec(duration=duration, rate=rate, ramp=ramp))
+        try:
+            values = [float(v) for v in parts]
+        except ValueError as exc:
+            raise InvalidInputError(f"bad segment {chunk!r}: {exc}") from exc
+        segments.append(SegmentSpec(*values))
     return tuple(segments)
 
 
@@ -90,19 +93,25 @@ def cmd_synth(args) -> int:
     else:
         profile = RainProfile(segments=default_profile().segments, sensor=sensor)
     disturbance = None if args.no_disturbance else DisturbanceParams()
-    scans, series = generate_session(
+    # What generate_session returns, with the scans made as they are written.
+    scans = session_scans(
         profile,
         box=CropBox(args.box),
+        seed=args.seed,
+        fluctuation=args.fluctuation,
+        disturbance=disturbance,
+    )
+    series = disdrometer_series(
+        profile,
         seed=args.seed,
         noise_sigma=args.noise_sigma,
         bias=args.bias,
         fluctuation=args.fluctuation,
-        disturbance=disturbance,
     )
-    rio.write_scans(args.out_scans, scans)
+    n_scans = rio.write_scans(args.out_scans, scans)
     rio.write_disdrometer(args.out_rain, series)
     print(
-        f"synth: {len(scans)} scans over {profile.total_duration:.0f}s -> {args.out_scans}; "
+        f"synth: {n_scans} scans over {profile.total_duration:.0f}s -> {args.out_scans}; "
         f"{len(series)} disdrometer measurements -> {args.out_rain}"
     )
     return EXIT_OK

@@ -50,6 +50,9 @@ DEFAULT_REFERENCE_REPS = 16
 _GRAM_MIN_POINTS = 64
 _CHUNK_ELEMENTS = 1 << 18
 
+# The point budget of one scan_feature_rows batch.
+_FILL_BATCH_POINTS = 1 << 16
+
 _reference_cache: dict[tuple[int, int, int], float] = {}
 
 
@@ -412,20 +415,30 @@ def scan_feature_rows(scans, box: CropBox, indices=None, out=None) -> np.ndarray
     the other rows of ``out`` (default: a new all-NaN table) are left as
     they are.
 
-    The points of those scans are cropped by one mask over the flat arrays,
-    which keeps their order, so each scan's cropped points are one slice of
-    the cropped flat arrays; each mean is a ``.mean()`` of such a slice, the
-    same bits as over the scan's own crop. The MSTs of all the scans run in
-    one :func:`_mst_lengths` batch.
+    The rows are filled in batches of consecutive rows of about
+    _FILL_BATCH_POINTS points, so memory stays bounded whatever the
+    number of scans. A batch's points are cropped by one mask over the
+    flat arrays, which keeps their order, so each scan's cropped points are
+    one slice of the cropped flat arrays; each mean is a ``.mean()`` of such
+    a slice, the same bits as over the scan's own crop. The MSTs of a
+    batch's scans run in one :func:`_mst_lengths` call, exact for each set
+    whatever else is in the call.
     """
     table = ScanTable.from_scans(scans)
     if out is None:
         out = np.full((len(table), 4), np.nan)
-    if indices is None:
-        rows = np.arange(len(table))
-    else:
-        rows = np.asarray(indices, dtype=np.intp).reshape(-1)
-        table = table.take(rows)
+    rows = np.arange(len(table)) if indices is None else np.asarray(indices, dtype=np.intp).reshape(-1)
+    # A row goes to batch b when the points of the rows ahead of it number
+    # from b to b + 1 times the budget.
+    counts = np.diff(table.offsets)[rows]
+    ahead = np.cumsum(counts) - counts
+    for batch in np.split(rows, np.flatnonzero(np.diff(ahead // _FILL_BATCH_POINTS)) + 1):
+        _fill_rows(table.take(batch), box, batch, out)
+    return out
+
+
+def _fill_rows(table: ScanTable, box: CropBox, rows: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out[rows]`` with the feature rows of the scans of ``table``."""
     keep = (np.abs(table.xyz) <= box.half_extent).all(axis=1)
     # kept[i]:kept[i + 1] is scan i's slice of the cropped flat arrays.
     kept = np.zeros(keep.size + 1, dtype=np.intp)
@@ -446,7 +459,6 @@ def scan_feature_rows(scans, box: CropBox, indices=None, out=None) -> np.ndarray
     if mst_rows:
         reference = [uniform_mst_reference(p.shape[0], box) for p in mst_points]
         out[mst_rows, 3] = _mst_lengths(mst_points) / np.array(reference)
-    return out
 
 
 def reduce_window(rows) -> np.ndarray:

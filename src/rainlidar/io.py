@@ -7,8 +7,10 @@ Scan records (one scan per line, space separated)::
 
     frame_id timestamp x y z intensity [x y z intensity ...]
 
-are read into one :class:`~rainlidar.features.ScanTable`, a block of
-lines at a time. A block of single-spaced ASCII lines with finite values
+are written from any iterable of scans and read into one
+:class:`~rainlidar.features.ScanTable`, both a block of lines at a time,
+so neither holds more than a block of text. The reader parses every point
+into one buffer. A block of single-spaced ASCII lines with finite values
 is parsed by one C-level ``np.fromstring`` pass; any other block goes line
 by line through ``int`` and ``float``, which decide what a malformed file
 is: its first bad line is reported as ``path:line:``.
@@ -37,6 +39,7 @@ import json
 import os
 import tempfile
 import warnings as _warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -63,14 +66,17 @@ _DATASET_SEGMENTS = "# segments "
 DISDRO_HEADER = ["timestamp_s", "rate_mm_h", "segment_id"]
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write text through a temp file + rename so partial files never appear."""
+@contextmanager
+def atomic_open(path):
+    """A text handle on a temp file in ``path``'s directory, renamed to ``path``
+    when the block ends; if the block raises, the temp file is removed and
+    an existing ``path`` is left as it was."""
     path = Path(path)
     directory = path.parent if str(path.parent) else Path(".")
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -78,18 +84,50 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def write_scans(path, scans) -> None:
-    lines = []
-    for scan in scans:
-        values = np.column_stack((scan.xyz, scan.intensity)).ravel().tolist()
-        lines.append(
-            " ".join([str(int(scan.frame_id)), repr(float(scan.timestamp)), *map(repr, values)])
-        )
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+def atomic_write_text(path, text: str) -> None:
+    """Write text through a temp file + rename so partial files never appear."""
+    with atomic_open(path) as handle:
+        handle.write(text)
 
 
-# Scan files are read this many bytes at a time, cut back to a line end.
+# Scan files are read, and written, this many bytes at a time; a read
+# block is cut back to a line end.
 SCAN_BLOCK_BYTES = 1 << 22
+
+# The most bytes one value takes in a scan line: the longest float repr
+# (-2.2250738585072014e-308) and its separator.
+_MAX_VALUE_BYTES = 25
+
+
+def write_scans(path, scans) -> int:
+    """Write an iterable of :class:`Scan` (a list, a table, a generator) to a
+    scan file, atomically; return the number of scans written.
+
+    The scans are taken a block at a time, as many as SCAN_BLOCK_BYTES
+    holds at the longest value, then formatted and written, so at most
+    one block of scans and its lines are held at once.
+    """
+    scans = iter(scans)
+    n_scans = 0
+    with atomic_open(path) as handle:
+        while True:
+            block, budget = [], SCAN_BLOCK_BYTES
+            for scan in scans:
+                block.append(scan)
+                budget -= (2 + 4 * scan.n_points) * _MAX_VALUE_BYTES
+                if budget <= 0:
+                    break
+            if not block:
+                return n_scans
+            lines = []
+            for scan in block:
+                values = np.column_stack((scan.xyz, scan.intensity)).ravel().tolist()
+                lines.append(
+                    " ".join([str(int(scan.frame_id)), repr(float(scan.timestamp)), *map(repr, values)])
+                )
+            lines.append("")
+            handle.write("\n".join(lines))
+            n_scans += len(block)
 
 
 def read_scans(path) -> ScanTable:
@@ -102,9 +140,13 @@ def read_scans(path) -> ScanTable:
     file decides which.
     """
     # Seeded so that the offsets start at 0 and an empty file gives an empty table.
-    frame_ids, timestamps, counts, quads = [], [np.empty(0)], [[0]], [np.empty((0, 4))]
-    lines_before = 0
+    frame_ids, timestamps, counts = [], [np.empty(0)], [[0]]
+    lines_before = filled = 0
     with open(path, "rb") as handle:
+        # Every value takes at least 2 bytes, so a point at least 8: one
+        # buffer this large holds every point, and the pages that no point
+        # reaches are never touched.
+        points = np.empty((os.fstat(handle.fileno()).st_size // 8 + 1, 4))
         rest = b""
         while True:
             chunk = handle.read(SCAN_BLOCK_BYTES)
@@ -117,15 +159,19 @@ def read_scans(path) -> ScanTable:
                 data, rest = data[:cut], data[cut:]
             if data:
                 block = _parse_block(data) or _parse_lines(data, path, lines_before)
-                ids, times, n_points, points, n_lines = block
+                ids, times, n_points, quads, n_lines = block
+                if filled + len(quads) > len(points):  # the file grew while read
+                    points.resize((2 * (filled + len(quads)), 4), refcheck=False)
+                points[filled : filled + len(quads)] = quads
+                filled += len(quads)
                 frame_ids.extend(ids)
                 timestamps.append(times)
                 counts.append(n_points)
-                quads.append(points)
                 lines_before += n_lines
             if not chunk:
                 break
-    points = np.concatenate(quads)
+    # In place: realloc returns the untouched tail without a copy of the rest.
+    points.resize((filled, 4), refcheck=False)
     return ScanTable._trusted(
         _id_array(frame_ids),
         np.concatenate(timestamps),

@@ -20,6 +20,7 @@ output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,8 @@ class SensorSpec:
     disdrometer_rate: float = 0.1
 
     def __post_init__(self):
-        if self.frame_rate <= 0 or self.disdrometer_rate <= 0:
-            raise InvalidInputError("sensor rates must be positive")
+        if not all(math.isfinite(r) and r > 0 for r in (self.frame_rate, self.disdrometer_rate)):
+            raise InvalidInputError("sensor rates must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,8 @@ class SegmentSpec:
     ramp: float = 0.0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.duration, self.rate, self.ramp)):
+            raise InvalidInputError("segment duration, rate and ramp must be finite")
         if self.duration <= 0:
             raise InvalidInputError("segment duration must be positive")
         if self.rate < 0:
@@ -345,7 +348,27 @@ def generate_session(
     The true rate is the programmed profile times (1 + fluctuation(t)).
     Disdrometer observations get multiplicative lognormal noise of the
     given sigma and an optional constant bias factor. ``disturbance=None``
-    disables corruption bursts. Fully deterministic per seed.
+    disables corruption bursts. Fully deterministic per seed. The scans
+    are :func:`session_scans` as a list, the series
+    :func:`disdrometer_series`.
+    """
+    scans = list(session_scans(profile, params, box, seed, fluctuation, disturbance))
+    return scans, disdrometer_series(profile, seed, noise_sigma, bias, fluctuation)
+
+
+def session_scans(
+    profile: RainProfile,
+    params: NoiseRegimeParams | None = None,
+    box: CropBox = CropBox(10.0),
+    seed: int = 0,
+    fluctuation: float = 0.12,
+    disturbance: DisturbanceParams | None = DisturbanceParams(),
+):
+    """The scans of :func:`generate_session`, as an iterator that makes each on demand.
+
+    The frame times, rates and bursts are set up here, so a bad profile
+    raises before the first scan is asked for; each scan is generated when
+    the iterator reaches it.
     """
     params = params or default_regime_params()
     total = profile.total_duration
@@ -354,32 +377,42 @@ def generate_session(
     frame_times = np.arange(n_frames) / frame_rate
     base = np.array([profile_rate(profile, t) for t in frame_times])
     rates = np.clip(base * (1.0 + _fluctuation(frame_times, fluctuation, seed)), 0.0, None)
-
     bursts = _draw_bursts(disturbance, total, seed) if disturbance else []
-    scans = []
-    for j, t in enumerate(frame_times):
-        count_scale = intensity_scale = 1.0
-        extra_cluster = 0.0
-        for burst in bursts:
-            if burst.start <= t < burst.start + burst.duration:
-                count_scale = burst.count_scale
-                intensity_scale = burst.intensity_scale
-                extra_cluster = burst.extra_cluster
-                break
-        scans.append(
-            generate_scan(
+
+    def scans():
+        for j, t in enumerate(frame_times.tolist()):
+            count_scale = intensity_scale = 1.0
+            extra_cluster = 0.0
+            for burst in bursts:
+                if burst.start <= t < burst.start + burst.duration:
+                    count_scale = burst.count_scale
+                    intensity_scale = burst.intensity_scale
+                    extra_cluster = burst.extra_cluster
+                    break
+            yield generate_scan(
                 float(rates[j]),
                 params,
                 box,
                 seed=[_SCAN_STREAM, int(seed), j],
-                timestamp=float(t),
+                timestamp=t,
                 frame_id=j,
                 count_scale=count_scale,
                 intensity_scale=intensity_scale,
                 extra_cluster=extra_cluster,
             )
-        )
 
+    return scans()
+
+
+def disdrometer_series(
+    profile: RainProfile,
+    seed: int = 0,
+    noise_sigma: float = 0.05,
+    bias: float = 1.0,
+    fluctuation: float = 0.12,
+) -> RainSeries:
+    """The disdrometer series of :func:`generate_session`."""
+    total = profile.total_duration
     disdro_rate = profile.sensor.disdrometer_rate
     n_meas = int(round(total * disdro_rate))
     meas_times = np.arange(n_meas) / disdro_rate
@@ -388,5 +421,4 @@ def generate_session(
     noise_rng = np.random.default_rng([_DISDRO_STREAM, int(seed)])
     observed = true_meas * bias * np.exp(noise_sigma * noise_rng.standard_normal(n_meas))
     segments = np.array([segment_index(profile, t) for t in meas_times])
-    series = RainSeries(timestamps=meas_times, rates=observed, segment_ids=segments)
-    return scans, series
+    return RainSeries(timestamps=meas_times, rates=observed, segment_ids=segments)

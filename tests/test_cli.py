@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -15,6 +16,14 @@ from rainlidar import io as rio
 from rainlidar.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from rainlidar.features import Scan, ScanTable, WindowSample
 from rainlidar.pipeline import Dataset
+from rainlidar.synth import (
+    DisturbanceParams,
+    RainProfile,
+    SegmentSpec,
+    SensorSpec,
+    _draw_bursts,
+    generate_session,
+)
 
 SMALL_SEGMENTS = "300:7:10,300:15:10,300:30:10,300:50:10"
 
@@ -59,6 +68,32 @@ class TestSynth:
         assert out_scans.read_bytes() == workspace["scans"].read_bytes()
         assert out_rain.read_bytes() == workspace["rain"].read_bytes()
 
+    def test_streamed_files_equal_generate_session(self, tmp_path, capsys, monkeypatch):
+        profile = RainProfile(
+            (SegmentSpec(300.0, 7.0, 10.0), SegmentSpec(300.0, 45.0, 10.0)), SensorSpec(frame_rate=2.0)
+        )
+        # the session has disturbance bursts
+        assert _draw_bursts(DisturbanceParams(), profile.total_duration, 5)
+        scans, series = generate_session(profile, seed=5)
+        ref_scans, ref_rain = tmp_path / "ref_scans.txt", tmp_path / "ref_rain.csv"
+        rio.write_scans(ref_scans, scans)
+        rio.write_disdrometer(ref_rain, series)
+        out_scans, out_rain = tmp_path / "scans.txt", tmp_path / "rain.csv"
+        # many blocks, each written as soon as its scans are made
+        monkeypatch.setattr(rio, "SCAN_BLOCK_BYTES", 1 << 12)
+        assert main([
+            "synth", "--out-scans", str(out_scans), "--out-rain", str(out_rain),
+            "--segments", "300:7:10,300:45:10", "--frame-rate", "2", "--seed", "5",
+        ]) == EXIT_OK
+        assert out_scans.stat().st_size > 50 * rio.SCAN_BLOCK_BYTES
+        assert out_scans.read_bytes() == ref_scans.read_bytes()
+        assert out_rain.read_bytes() == ref_rain.read_bytes()
+        # the counts line as the benchmark's checks parse it
+        stdout = capsys.readouterr().out
+        m = re.search(r"synth: (?P<scans>\d+) scans over .*; (?P<measurements>\d+) disdrometer", stdout)
+        assert m, stdout
+        assert (int(m["scans"]), int(m["measurements"])) == (len(scans), len(series)) == (1200, 60)
+
 
 class TestFeaturize:
     def test_sample_count_matches_counters(self, workspace, capsys):
@@ -71,8 +106,6 @@ class TestFeaturize:
         dataset = rio.read_dataset(out)
         assert f"-> {len(dataset)} samples" in stdout
         # windows = samples + skips
-        import re
-
         m = re.search(r"(\d+) windows .* skipped (\d+) without target, (\d+) with too few", stdout)
         assert m, stdout
         windows, no_target, few = map(int, m.groups())
@@ -388,3 +421,26 @@ class TestExitCodes:
             "--thresholds", "20,10",  # not 2**depth - 1
         ])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--segments", "abc:5"],
+            ["--segments", "10"],
+            ["--segments", "nan:5"],
+            ["--segments", "inf:5"],
+            ["--segments", "10:nan"],
+            ["--segments", "10:inf"],
+            ["--segments", "10:5:nan"],
+            ["--frame-rate", "nan"],
+            ["--frame-rate", "inf"],
+            ["--disdro-rate", "nan"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_synth_argument_is_usage_before_any_output(self, tmp_path, capsys, flags):
+        out_scans, out_rain = tmp_path / "scans.txt", tmp_path / "rain.csv"
+        code = main(["synth", "--out-scans", str(out_scans), "--out-rain", str(out_rain), *flags])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []

@@ -627,6 +627,44 @@ class TestFlatCrop:
             assert np.array_equal(got, window_features(scans[5:17], box))
 
 
+class TestBatchedFill:
+    """scan_feature_rows in batches of about _FILL_BATCH_POINTS points."""
+
+    @staticmethod
+    def _table_and_rows(seed):
+        rng = np.random.default_rng([67, seed])
+        box = CropBox(2.5)
+        scans = edge_scans(rng, box) + edge_scans(rng, box)
+        table = ScanTable.from_scans([scans[i] for i in rng.permutation(len(scans))])
+        rows = rng.choice(len(table), size=14, replace=False)
+        return table, box, rows
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("budget", [1, 7, 100])
+    def test_small_batches_equal_one_batch(self, monkeypatch, seed, budget):
+        table, box, rows = self._table_and_rows(seed)
+        monkeypatch.setattr(features, "_FILL_BATCH_POINTS", 1 << 40)
+        whole, subset = scan_feature_rows(table, box), scan_feature_rows(table, box, rows)
+        batches = []
+        real = ScanTable.take
+
+        def counting(table, indices):
+            batches.append(np.asarray(indices).tolist())
+            return real(table, indices)
+
+        monkeypatch.setattr(ScanTable, "take", counting)
+        monkeypatch.setattr(features, "_FILL_BATCH_POINTS", budget)
+        assert scan_feature_rows(table, box).tobytes() == whole.tobytes()
+        assert scan_feature_rows(table, box, rows).tobytes() == subset.tobytes()
+        # consecutive runs of the rows, each within the budget plus one scan
+        assert sum(batches, []) == list(range(len(table))) + rows.tolist()
+        counts = np.diff(table.offsets)
+        largest = counts.max()
+        for batch in batches:
+            assert counts[batch].sum() <= budget + largest
+        assert len(batches) > 2
+
+
 class TestScanTable:
     def _scans(self, n=6):
         rng = np.random.default_rng(67)

@@ -1,7 +1,9 @@
 """Round-trip and format tests for the persistence layer."""
 
+import contextlib
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +101,124 @@ class TestScanFormat:
         rio.write_scans(tmp_path / "scans.txt", random_scans())
         leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
         assert leftovers == []
+
+
+
+def scan_stream(scans):
+    """The scans as a generator, the way ``rainlidar synth`` hands them over."""
+    yield from scans
+
+
+class TestStreamingScanWriter:
+    """write_scans over any iterable, SCAN_BLOCK_BYTES of lines at a time."""
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(rio, "SCAN_BLOCK_BYTES", 300)
+
+    @staticmethod
+    def _scans():
+        scans = random_scans(seed=21, n_scans=30)
+        empty = [Scan(np.zeros((0, 3)), np.zeros(0), 0.05 * j, 100 + j) for j in range(3)]
+        rng = np.random.default_rng(22)
+        # a line many blocks long, between two runs of zero-point scans
+        long = Scan(rng.uniform(-9, 9, (60, 3)), rng.random(60), 4.25, 200)
+        return empty + scans[:10] + [long] + empty + scans[10:]
+
+    def test_generator_equals_list_and_oracle(self, tmp_path, small_blocks):
+        scans = self._scans()
+        streamed, listed, old = tmp_path / "gen.txt", tmp_path / "list.txt", tmp_path / "old.txt"
+        assert rio.write_scans(streamed, scan_stream(scans)) == len(scans)
+        assert rio.write_scans(listed, scans) == len(scans)
+        per_point_write_scans(old, scans)
+        assert streamed.read_bytes() == listed.read_bytes() == old.read_bytes()
+        assert streamed.stat().st_size > 20 * rio.SCAN_BLOCK_BYTES
+        # read back in blocks of the same size, which lines straddle
+        assert_same_scans(rio.read_scans(streamed), scans)
+
+    def test_empty_stream(self, tmp_path, small_blocks):
+        path = tmp_path / "scans.txt"
+        assert rio.write_scans(path, scan_stream([])) == 0
+        assert path.read_bytes() == b""
+
+    def test_table_written_as_its_scans(self, tmp_path):
+        scans = self._scans()
+        a, b = tmp_path / "table.txt", tmp_path / "list.txt"
+        rio.write_scans(a, ScanTable.from_scans(scans))
+        rio.write_scans(b, scans)
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_written_a_block_at_a_time(self, tmp_path, small_blocks, monkeypatch):
+        writes = []
+        real = rio.atomic_open
+
+        class Spy:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def write(self, text):
+                writes.append(text)
+                return self.handle.write(text)
+
+        @contextlib.contextmanager
+        def spying(path):
+            with real(path) as handle:
+                yield Spy(handle)
+
+        monkeypatch.setattr(rio, "atomic_open", spying)
+        path = tmp_path / "scans.txt"
+        rio.write_scans(path, scan_stream(self._scans()))
+        assert "".join(writes) == path.read_text()
+        assert len(writes) > 10
+        for text in writes:
+            # whole lines, and the scans ahead of a block's last one within the block size
+            assert text.endswith("\n")
+            assert len(text) - len(text[:-1].rpartition("\n")[2]) <= rio.SCAN_BLOCK_BYTES
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt, InvalidInputError])
+    @pytest.mark.parametrize("existing", [None, b"0 0.0\n1 0.1 1.0 2.0 3.0 0.5\n"])
+    def test_failure_after_blocks_leaves_no_temp_file(self, tmp_path, small_blocks, error, existing):
+        path = tmp_path / "scans.txt"
+        if existing is not None:
+            path.write_bytes(existing)
+
+        def failing():
+            yield from random_scans(seed=2, n_scans=60)
+            # several blocks have reached the temp file by now
+            (tmp,) = tmp_path.glob("*.tmp")
+            assert tmp.stat().st_size > 5 * rio.SCAN_BLOCK_BYTES
+            raise error("stream broke off")
+
+        with pytest.raises(error):
+            rio.write_scans(path, failing())
+        assert list(tmp_path.glob("*.tmp")) == []
+        if existing is None:
+            assert not path.exists()
+        else:
+            assert path.read_bytes() == existing
+
+    def test_traced_peak_bounded_by_the_block(self, tmp_path, monkeypatch):
+        block = 1 << 16
+        monkeypatch.setattr(rio, "SCAN_BLOCK_BYTES", block)
+
+        def stream():
+            rng = np.random.default_rng(23)
+            for j in range(1500):
+                n = int(rng.integers(0, 80))
+                yield Scan(rng.uniform(-9, 9, (n, 3)), rng.gamma(4.0, 0.25, n), 0.1 * j, j)
+
+        path = tmp_path / "scans.txt"
+        # first-call allocations (lazy imports, caches) are not the writer's
+        rio.write_scans(path, random_scans())
+        tracemalloc.start()
+        try:
+            rio.write_scans(path, stream())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 3.3 blocks at the time of writing; holding the whole file would be 225
+        assert path.stat().st_size > 40 * block
+        assert peak < 5 * block
 
 
 def per_line_read_scans(path) -> list:
@@ -316,6 +436,35 @@ class TestScanReaderBlocks:
         new, old = read_both(path)
         assert new == old
         assert new[0] is InvalidInputError
+
+    def test_one_buffer_for_every_point(self, tmp_path):
+        # the points are views of one (N, 4) array cut to the point count
+        scans = random_scans(seed=15, n_scans=30)
+        path = tmp_path / "scans.txt"
+        rio.write_scans(path, scans)
+        table = rio.read_scans(path)
+        buffer = table.xyz.base
+        assert buffer is table.intensity.base
+        assert buffer.shape == (sum(s.n_points for s in scans), 4)
+
+    def test_file_grown_while_read(self, tmp_path, small_blocks, monkeypatch):
+        # more points than the size at open time allows for: the buffer grows
+        first, later = random_scans(seed=16, n_scans=4), random_scans(seed=17, n_scans=80)
+        path, tail = tmp_path / "scans.txt", tmp_path / "tail.txt"
+        rio.write_scans(path, first)
+        rio.write_scans(tail, later)
+        assert tail.stat().st_size > 8 * path.stat().st_size
+        real = rio._parse_block
+
+        def growing(data):
+            if tail.exists():
+                with open(path, "ab") as handle:
+                    handle.write(tail.read_bytes())
+                tail.unlink()
+            return real(data)
+
+        monkeypatch.setattr(rio, "_parse_block", growing)
+        assert_same_scans(rio.read_scans(path), first + later)
 
 
 @pytest.mark.filterwarnings("ignore:segment 0")

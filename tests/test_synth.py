@@ -13,12 +13,15 @@ from rainlidar.synth import (
     RainProfile,
     RegimeParams,
     SegmentSpec,
+    SensorSpec,
     default_profile,
     default_regime_params,
+    disdrometer_series,
     generate_scan,
     generate_session,
     profile_rate,
     segment_index,
+    session_scans,
 )
 
 BOX = CropBox(10.0)
@@ -71,6 +74,16 @@ class TestProfile:
             SegmentSpec(10.0, -1.0)
         with pytest.raises(InvalidInputError):
             SegmentSpec(10.0, 5.0, ramp=20.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_values_rejected(self, bad):
+        for values in ((bad, 5.0), (10.0, bad), (10.0, 5.0, bad)):
+            with pytest.raises(InvalidInputError, match="finite"):
+                SegmentSpec(*values)
+        with pytest.raises(InvalidInputError, match="finite"):
+            SensorSpec(frame_rate=bad)
+        with pytest.raises(InvalidInputError, match="finite"):
+            SensorSpec(disdrometer_rate=bad)
 
 
 class TestRegimeParams:
@@ -225,6 +238,23 @@ class TestGenerateSession:
         _, plain = generate_session(profile, seed=3, disturbance=None, bias=1.0)
         _, biased = generate_session(profile, seed=3, disturbance=None, bias=1.3)
         np.testing.assert_allclose(biased.rates, 1.3 * plain.rates, rtol=1e-12)
+
+    def test_session_scans_are_made_on_demand(self):
+        profile = RainProfile(segments=(SegmentSpec(30.0, 25.0, 5.0),))
+        dist = DisturbanceParams(rate_per_minute=4.0)
+        scans, series = generate_session(profile, seed=6, disturbance=dist)
+        stream = session_scans(profile, seed=6, disturbance=dist)
+        assert not isinstance(stream, list)
+        first = next(stream)
+        assert first.frame_id == 0 and first.xyz.tobytes() == scans[0].xyz.tobytes()
+        rest = list(stream)
+        assert len(rest) == len(scans) - 1 == 299
+        for a, b in zip(rest, scans[1:]):
+            assert (a.frame_id, a.timestamp) == (b.frame_id, b.timestamp)
+            assert a.xyz.tobytes() == b.xyz.tobytes()
+            assert a.intensity.tobytes() == b.intensity.tobytes()
+        again = disdrometer_series(profile, seed=6)
+        assert again.rates.tobytes() == series.rates.tobytes()
 
     def test_disturbance_determinism(self):
         profile = RainProfile(segments=(SegmentSpec(120.0, 30.0),))

@@ -26,6 +26,7 @@ from .moe import (
     TrainConfig,
     build_tree_spec,
     infer,
+    infer_batch,
     predict_batch,
     quantile_thresholds,
     summarize_predictions,
@@ -249,14 +250,14 @@ def cmd_predict(args) -> int:
     counts, windows = _slide_windows(
         scans, box, buffer_s, args.emit_period, limit=float(scans.timestamps[-1]), end_anchored=True
     )
-    lines = []
-    n_experts = model.spec.n_experts
-    header = "time_s,point_estimate_mm_h,error_probability," + ",".join(
-        f"resp_e{m}" for m in range(1, n_experts + 1)
+    windows = list(windows)
+    preds = infer_batch(
+        model, [v for *_, v in windows], margin_fraction=args.margin, error_floor=args.floor
     )
-    lines.append(header)
-    for _, emit, _, vector in windows:
-        pred = infer(model, vector, margin_fraction=args.margin, error_floor=args.floor)
+    lines = ["time_s,point_estimate_mm_h,error_probability," + ",".join(
+        f"resp_e{m}" for m in range(1, model.spec.n_experts + 1)
+    )]
+    for (_, emit, _, _), pred in zip(windows, preds):
         resp = ",".join(repr(float(p)) for p in pred.responsibilities)
         lines.append(f"{emit!r},{pred.point_estimate!r},{pred.error_probability!r},{resp}")
     text = "\n".join(lines) + "\n"

@@ -26,10 +26,10 @@ from .features import FeatureStats, standardize_apply, standardize_fit
 from .vblearn import (
     BasisConfig,
     design_matrix,
+    expert_predictions,
     fit_vb_linear,
     fit_vb_logistic,
-    predict_expert,
-    predict_gate,
+    gate_probabilities,
 )
 
 MODEL_FORMAT_VERSION = 1
@@ -123,10 +123,9 @@ def _subtree_leaves(depth: int, node: int) -> tuple:
 def build_tree_spec(depth: int, y_range=(0.0, 80.0), thresholds=None) -> TreeSpec:
     """Build a tree specification for the given depth over [lo, hi) mm/h.
 
-    Explicit ``thresholds`` are heap-ordered (root first) and must be
-    strictly increasing in in-order traversal. When omitted, thresholds are
-    generated by recursive geometric midpoint splitting of
-    [max(lo, 1), hi), i.e. logarithmic spacing.
+    ``thresholds`` are heap-ordered (root first) and must be strictly
+    increasing in in-order traversal; :func:`quantile_thresholds` derives
+    them from training targets. Only depth 0 may omit them.
     """
     lo, hi = float(y_range[0]), float(y_range[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and 0 <= lo < hi):
@@ -134,25 +133,12 @@ def build_tree_spec(depth: int, y_range=(0.0, 80.0), thresholds=None) -> TreeSpe
     if not 0 <= depth <= MAX_DEPTH:
         raise InvalidInputError(f"depth must be in [0, {MAX_DEPTH}]")
     n_gates = 2**depth - 1
-    if thresholds is None:
-        heap = [0.0] * n_gates
-
-        def split(node: int, a: float, b: float) -> None:
-            mid = float(np.sqrt(a * b))
-            heap[node - 1] = mid
-            if 2 * node <= n_gates:
-                split(2 * node, a, mid)
-                split(2 * node + 1, mid, b)
-
-        if depth > 0:
-            split(1, max(lo, 1.0), hi)
-        thresholds = heap
-    else:
-        thresholds = [float(h) for h in thresholds]
-        if len(thresholds) != n_gates:
-            raise InvalidInputError(
-                f"depth {depth} requires {n_gates} thresholds, got {len(thresholds)}"
-            )
+    thresholds = [float(h) for h in thresholds or ()]
+    if len(thresholds) != n_gates:
+        raise InvalidInputError(
+            f"depth {depth} requires {n_gates} thresholds, got {len(thresholds)}; "
+            "quantile_thresholds derives them from training targets"
+        )
     boundaries = [lo, *_inorder(thresholds), hi]
     for a, b in zip(boundaries[:-1], boundaries[1:]):
         if not a < b:
@@ -416,17 +402,17 @@ class MixturePrediction:
         return self.responsibilities.size
 
 
-def _responsibilities(gate_probs: np.ndarray, depth: int) -> np.ndarray:
-    """Root-to-leaf products of gate probabilities; True goes right."""
-    n_experts = 2**depth
-    resp = np.ones(n_experts)
-    for m in range(n_experts):
-        node = 1
-        for level in range(depth):
-            go_right = (m >> (depth - 1 - level)) & 1
-            p = gate_probs[node - 1]
-            resp[m] *= p if go_right else (1.0 - p)
-            node = 2 * node + go_right
+def _responsibilities(gate_probs, depth: int) -> np.ndarray:
+    """Root-to-leaf products of (G,) or (N, G) heap-ordered gate probabilities; True goes right.
+
+    Each leaf's product is taken root first, level by level.
+    """
+    probs = np.asarray(gate_probs, dtype=float)
+    resp = np.ones(probs.shape[:-1] + (1,))
+    for level in range(depth):
+        p = probs[..., 2**level - 1 : 2 ** (level + 1) - 1]
+        # Leaf prefix i splits into children 2i (gate False) and 2i + 1 (True).
+        resp = np.stack([resp * (1.0 - p), resp * p], axis=-1).reshape(probs.shape[:-1] + (-1,))
     return resp
 
 
@@ -450,11 +436,52 @@ def _ndtr(a) -> np.ndarray:
     return np.fromiter(map(_ndtr_scalar, a.ravel().tolist()), float, a.size).reshape(a.shape)
 
 
-def _band_error_probability(resp, means, variances, center, half_width) -> float:
+def _band_error_probability(resp, means, variances, center, half_width):
+    """Mixture mass outside center +/- half_width, per row of (M,) or (N, M) components."""
+    center = np.asarray(center, dtype=float)[..., None]
+    half_width = np.asarray(half_width, dtype=float)[..., None]
     sd = np.sqrt(variances)
-    upper = float(resp @ _ndtr((center + half_width - means) / sd))
-    lower = float(resp @ _ndtr((center - half_width - means) / sd))
-    return float(min(max(1.0 - (upper - lower), 0.0), 1.0))
+    upper = np.einsum("...m,...m->...", resp, _ndtr((center + half_width - means) / sd))
+    lower = np.einsum("...m,...m->...", resp, _ndtr((center - half_width - means) / sd))
+    return np.clip(1.0 - (upper - lower), 0.0, 1.0)
+
+
+def infer_batch(
+    model: MoEModel,
+    X,
+    margin_fraction: float = 0.05,
+    error_floor: float = 0.0,
+) -> list:
+    """Predictive mixtures for raw (unstandardized) feature rows X (N, n_features).
+
+    Returns one :class:`MixturePrediction` per row; an empty batch gives [].
+    ``margin_fraction`` sets the +/- band of the error probability relative
+    to the point estimate; ``error_floor`` optionally enforces a minimum
+    absolute band half-width (0 disables it), so with the default floor a
+    zero point estimate has error probability 1. Each row's result is
+    bit-identical whatever batch it is in.
+    """
+    if margin_fraction < 0 or error_floor < 0:
+        raise InvalidInputError("margin fraction and floor must be non-negative")
+    X = np.asarray(X, dtype=float)
+    if X.shape[:1] == (0,):
+        return []
+    if X.ndim != 2:
+        raise InvalidInputError("expected a 2-d feature matrix, one row per sample")
+    if X.shape[1] != model.n_features:
+        raise InvalidInputError(
+            f"feature dimension {X.shape[1]} does not match model dimension {model.n_features}"
+        )
+    Phi = design_matrix(standardize_apply(model.standardization, X), model.experts[0].basis)
+    resp = _responsibilities(gate_probabilities(model.gates, Phi), model.spec.depth)
+    means, variances = expert_predictions(model.experts, Phi)
+    points = np.einsum("nm,nm->n", resp, means)
+    half_widths = np.maximum(margin_fraction * np.abs(points), error_floor)
+    error_probs = _band_error_probability(resp, means, variances, points, half_widths)
+    return [
+        MixturePrediction(*row)
+        for row in zip(resp, means, variances, points.tolist(), error_probs.tolist())
+    ]
 
 
 def infer(
@@ -463,35 +490,9 @@ def infer(
     margin_fraction: float = 0.05,
     error_floor: float = 0.0,
 ) -> MixturePrediction:
-    """Predictive mixture for one raw (unstandardized) feature vector.
-
-    ``margin_fraction`` sets the +/- band of the error probability relative
-    to the point estimate; ``error_floor`` optionally enforces a minimum
-    absolute band half-width (0 disables it).
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != model.n_features:
-        raise InvalidInputError(
-            f"feature dimension {x.size} does not match model dimension {model.n_features}"
-        )
-    if not np.all(np.isfinite(x)):
-        raise InvalidInputError("feature vector contains non-finite values")
-    xs = standardize_apply(model.standardization, x)
-    gate_probs = np.array([predict_gate(g, xs) for g in model.gates])
-    resp = _responsibilities(gate_probs, model.spec.depth)
-    predictions = [predict_expert(e, xs) for e in model.experts]
-    means = np.array([p.mean for p in predictions])
-    variances = np.array([p.variance for p in predictions])
-    point = float(resp @ means)
-    half_width = max(margin_fraction * abs(point), error_floor)
-    error_prob = _band_error_probability(resp, means, variances, point, half_width)
-    return MixturePrediction(
-        responsibilities=resp,
-        means=means,
-        variances=variances,
-        point_estimate=point,
-        error_probability=error_prob,
-    )
+    """Predictive mixture for one raw feature vector: the one-row :func:`infer_batch`."""
+    x = np.asarray(x, dtype=float).reshape(1, -1)
+    return infer_batch(model, x, margin_fraction, error_floor)[0]
 
 
 def mixture_density(pred: MixturePrediction, y):
@@ -509,30 +510,6 @@ def mixture_cdf(pred: MixturePrediction, y):
     z = (y_arr[..., None] - pred.means) / np.sqrt(pred.variances)
     out = _ndtr(z) @ pred.responsibilities
     return float(out) if np.ndim(y) == 0 else out
-
-
-def point_estimate(pred: MixturePrediction) -> float:
-    """Mixture mean sum_m P_m mu_m."""
-    return float(pred.responsibilities @ pred.means)
-
-
-def error_probability(
-    pred: MixturePrediction,
-    margin_fraction: float = 0.05,
-    error_floor: float = 0.0,
-) -> float:
-    """Probability that the target falls outside +/- margin of the point estimate.
-
-    The band half-width is max(margin_fraction * |point|, error_floor); with
-    the default floor of 0 a zero point estimate yields probability 1.
-    """
-    if margin_fraction < 0 or error_floor < 0:
-        raise InvalidInputError("margin fraction and floor must be non-negative")
-    center = pred.point_estimate
-    half_width = max(margin_fraction * abs(center), error_floor)
-    return _band_error_probability(
-        pred.responsibilities, pred.means, pred.variances, center, half_width
-    )
 
 
 def filter_by_uncertainty(predictions, threshold: float) -> tuple:
@@ -616,11 +593,12 @@ def predict_batch(
     margin_fraction: float = 0.05,
     error_floor: float = 0.0,
 ) -> list:
-    """Run :func:`infer` over window samples, returning (prediction, target) pairs."""
-    return [
-        (infer(model, s.features, margin_fraction, error_floor), float(s.target))
-        for s in samples
-    ]
+    """One :func:`infer_batch` over window samples, returning (prediction, target) pairs."""
+    samples = list(samples)
+    predictions = infer_batch(
+        model, [s.features for s in samples], margin_fraction, error_floor
+    )
+    return [(p, float(s.target)) for p, s in zip(predictions, samples)]
 
 
 def evaluate(

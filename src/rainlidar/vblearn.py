@@ -46,11 +46,12 @@ _DIGAMMA_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760)
 def _expit(x):
     """Logistic sigmoid 1 / (1 + exp(-x)), computed as scipy's ``expit``.
 
-    A float gives a float, 0.0 where exp(-x) overflows. An array gives an
-    array; callers pass only values >= 0, for which exp(-x) cannot overflow.
+    A float gives a float, an array an array; either is 0.0 where exp(-x)
+    overflows, with no warning.
     """
     if isinstance(x, np.ndarray):
-        return 1.0 / (1.0 + np.exp(-x))
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp(-x))
     try:
         return 1.0 / (1.0 + math.exp(-x))
     except OverflowError:
@@ -103,26 +104,20 @@ class BasisConfig:
 
 
 def apply_basis(x, config: BasisConfig = BasisConfig()) -> np.ndarray:
-    """Expand a single feature vector; first element is the bias 1."""
+    """Expand a single feature vector: [1, x_1^1..x_1^deg, x_2^1..x_2^deg, ...]."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise InvalidInputError("expected a non-empty 1-d feature vector")
-    if not np.all(np.isfinite(x)):
-        raise InvalidInputError("feature vector contains non-finite values")
-    deg = config.effective_degree
-    if deg == 1:
-        return np.concatenate(([1.0], x))
-    powers = x[:, None] ** np.arange(1, deg + 1)  # feature-major blocks
-    return np.concatenate(([1.0], powers.ravel()))
+    return design_matrix(x[None, :], config)[0]
 
 
 def design_matrix(X, config: BasisConfig = BasisConfig()) -> np.ndarray:
-    """Row-wise :func:`apply_basis` for a sample matrix, shape (N, D)."""
+    """Basis expansion of each row of a sample matrix, shape (N, D); see :func:`apply_basis`."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] < 1:
         raise InvalidInputError("expected a 2-d sample matrix")
     if not np.all(np.isfinite(X)):
-        raise InvalidInputError("sample matrix contains non-finite values")
+        raise InvalidInputError("feature vector contains non-finite values")
     deg = config.effective_degree
     n = X.shape[0]
     if deg == 1:
@@ -148,14 +143,16 @@ def lambda_jj(xi):
     return float(out[0]) if np.ndim(xi) == 0 else out
 
 
-def kappa(sigma2_a: float) -> float:
+def kappa(sigma2_a):
     """Variance moderation factor (1 + pi * sigma2 / 8)^(-1/2).
 
     Equals 1 at zero variance and decreases monotonically, shrinking the
     gate activation towards 0 (probability towards 1/2) as the posterior
-    gets more uncertain along phi(x).
+    gets more uncertain along phi(x). Accepts scalars or arrays of
+    non-negative values.
     """
-    if sigma2_a < 0:
+    sigma2_a = np.asarray(sigma2_a, dtype=float)
+    if np.any(sigma2_a < 0):
         raise InvalidInputError("activation variance must be non-negative")
     return 1.0 / np.sqrt(1.0 + np.pi * sigma2_a / 8.0)
 
@@ -333,17 +330,43 @@ def fit_vb_logistic(
     )
 
 
+def _activations(posteriors, Phi: np.ndarray) -> tuple:
+    """mu_k^T phi_n and phi_n^T Sigma_k phi_n for design rows n and nodes k, each (N, K).
+
+    einsum, unlike BLAS ``@``, sums each row alone: a row's bits do not depend on the batch.
+    """
+    d = Phi.shape[1]
+    for posterior in posteriors:
+        if posterior.mean.size != d:
+            raise InvalidInputError(
+                f"design dimension {d} does not match "
+                f"posterior dimension {posterior.mean.size}"
+            )
+    means = np.array([p.mean for p in posteriors]).reshape(-1, d)
+    covs = np.array([p.covariance for p in posteriors]).reshape(-1, d, d)
+    return (
+        np.einsum("nd,kd->nk", Phi, means),
+        np.einsum("nd,kde,ne->nk", Phi, covs, Phi),
+    )
+
+
+def gate_probabilities(gates, Phi) -> np.ndarray:
+    """P(z_g = True | phi_n) for design rows Phi (N, D) and gates g, shape (N, G)."""
+    activation, activation_var = _activations(gates, Phi)
+    return _expit(kappa(activation_var) * activation)
+
+
+def expert_predictions(experts, Phi) -> tuple:
+    """Predictive means and variances of experts m for design rows Phi (N, D), each (N, M)."""
+    means, quad = _activations(experts, Phi)
+    noise = 1.0 / np.array([e.noise_precision for e in experts], dtype=float)
+    return means, noise + quad
+
+
 def predict_gate(posterior: GatePosterior, x) -> float:
     """Posterior predictive probability that the target exceeds the gate threshold."""
     phi = apply_basis(x, posterior.basis)
-    if phi.size != posterior.mean.size:
-        raise InvalidInputError(
-            f"design dimension {phi.size} does not match "
-            f"posterior dimension {posterior.mean.size}"
-        )
-    activation = float(posterior.mean @ phi)
-    activation_var = float(phi @ posterior.covariance @ phi)
-    return float(_expit(kappa(activation_var) * activation))
+    return float(gate_probabilities((posterior,), phi[None, :])[0, 0])
 
 
 def _linear_elbo(y, Phi, mu, cov, beta, a0, b0, a_n, b_n, fixed_alpha):
@@ -439,11 +462,5 @@ def fit_vb_linear(
 def predict_expert(posterior: ExpertPosterior, x) -> GaussianPrediction:
     """Predictive Gaussian mu_N^T phi(x), beta^-1 + phi(x)^T Sigma_N phi(x)."""
     phi = apply_basis(x, posterior.basis)
-    if phi.size != posterior.mean.size:
-        raise InvalidInputError(
-            f"design dimension {phi.size} does not match "
-            f"posterior dimension {posterior.mean.size}"
-        )
-    mean = float(posterior.mean @ phi)
-    variance = 1.0 / posterior.noise_precision + float(phi @ posterior.covariance @ phi)
-    return GaussianPrediction(mean=mean, variance=variance)
+    means, variances = expert_predictions((posterior,), phi[None, :])
+    return GaussianPrediction(mean=float(means[0, 0]), variance=float(variances[0, 0]))

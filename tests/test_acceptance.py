@@ -19,7 +19,7 @@ from scipy.special import expit
 import rainlidar as rl
 from rainlidar import io as rio
 from rainlidar.cli import EXIT_OK, main
-from rainlidar.moe import _responsibilities
+from rainlidar.moe import _band_error_probability, _responsibilities
 from tests.test_moe import make_prediction
 
 ACCEPTANCE_SEED = 8
@@ -139,7 +139,8 @@ def test_criterion_03_mixture_soundness():
         half = 0.05 * abs(center)
         band = np.linspace(center - half, center + half, 20001)
         inside = np.trapezoid(rl.mixture_density(pred, band), band)
-        worst_ep = max(worst_ep, abs(rl.error_probability(pred, 0.05) - (1.0 - inside)))
+        band_ep = float(_band_error_probability(resp, pred.means, pred.variances, center, half))
+        worst_ep = max(worst_ep, abs(band_ep - (1.0 - inside)))
     ok = worst_sum <= 1e-9 and worst_quad <= 1e-6 and worst_ep <= 1e-4
     report(
         3,
@@ -375,6 +376,18 @@ def test_criterion_10_pipeline_determinism(tmp_path):
     # sanity: the report actually contains metrics
     doc = json.loads(reports[0])
     assert "overall" in doc and "rmse_all" in doc["overall"]
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+def test_library_quantile_thresholds_train(dataset_10s, depth):
+    # The library path with no hand-picked thresholds: every expert range
+    # of the default session gets training samples.
+    train_set = dataset_10s.subset("train")
+    heap = rl.quantile_thresholds([s.target for s in train_set], depth)
+    model = rl.train(train_set, rl.build_tree_spec(depth, (0.0, 80.0), heap), seed=0)
+    assert model.spec.n_experts == 2**depth
+    counts = [model.metadata["node_counts"][f"e{m}"]["n_samples"] for m in range(1, 2**depth + 1)]
+    assert min(counts) >= len(train_set) // 2**depth
 
 
 def test_model_persistence_round_trip(depth2_model, dataset_10s, tmp_path):

@@ -359,6 +359,21 @@ class TestPredict:
         assert seen == sorted(inside)
         assert len(seen) == 260
 
+    def test_no_window_with_two_scans_writes_header_only(self, workspace, tmp_path, capsys):
+        # One scan every 20 s: no 10 s buffer holds two of them.
+        scans = [Scan(np.ones((3, 3)), np.ones(3), 20.0 * i, i) for i in range(6)]
+        scan_path = tmp_path / "sparse_scans.txt"
+        rio.write_scans(scan_path, scans)
+        out = tmp_path / "stream.csv"
+        assert main([
+            "predict", "--model", str(workspace["model"]), "--scans", str(scan_path),
+            "--buffer", "10", "--emit-period", "1", "--out", str(out),
+        ]) == EXIT_OK
+        assert "predict: 0 emissions (91 skipped)" in capsys.readouterr().out
+        assert out.read_text() == (
+            "time_s,point_estimate_mm_h,error_probability,resp_e1,resp_e2,resp_e3,resp_e4\n"
+        )
+
     def test_unordered_scans_are_usage_error(self, workspace, tmp_path, capsys):
         scans = [Scan(np.ones((2, 3)), np.ones(2), t, i) for i, t in enumerate([0.0, 2.0, 1.0])]
         scan_path = tmp_path / "unordered.txt"

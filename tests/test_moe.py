@@ -10,15 +10,14 @@ from rainlidar.moe import (
     MixturePrediction,
     MoEModel,
     TrainConfig,
+    _band_error_probability,
     _ndtr,
     build_tree_spec,
-    error_probability,
     evaluate,
     filter_by_uncertainty,
     infer,
     mixture_cdf,
     mixture_density,
-    point_estimate,
     quantile_thresholds,
     summarize_predictions,
     train,
@@ -46,23 +45,19 @@ def make_samples(targets, seed=0, feature_fn=None):
 
 
 def make_prediction(resp, means, variances):
+    """Mixture with the default band: +/- 5% of the point estimate, no floor."""
     resp = np.asarray(resp, float)
     means = np.asarray(means, float)
     variances = np.asarray(variances, float)
     point = float(resp @ means)
-    pred = MixturePrediction(
-        responsibilities=resp,
-        means=means,
-        variances=variances,
-        point_estimate=point,
-        error_probability=0.0,
-    )
     return MixturePrediction(
         responsibilities=resp,
         means=means,
         variances=variances,
         point_estimate=point,
-        error_probability=error_probability(pred),
+        error_probability=float(
+            _band_error_probability(resp, means, variances, point, 0.05 * abs(point))
+        ),
     )
 
 
@@ -111,14 +106,10 @@ class TestBuildTreeSpec:
         assert spec.thresholds == ()
         assert spec.expert_ranges == ((0.0, 80.0),)
 
-    def test_auto_geometric_spacing(self):
-        spec = build_tree_spec(2, (0.0, 80.0))
-        root = spec.thresholds[0]
-        assert root == pytest.approx(np.sqrt(80.0))
-        assert spec.thresholds[1] == pytest.approx(np.sqrt(root))
-        assert spec.thresholds[2] == pytest.approx(np.sqrt(root * 80.0))
-        inorder = sorted(spec.thresholds)
-        assert list(inorder) == [spec.thresholds[1], spec.thresholds[0], spec.thresholds[2]]
+    @pytest.mark.parametrize("depth", [1, 2, 6])
+    def test_thresholds_required_beyond_depth_zero(self, depth):
+        with pytest.raises(InvalidInputError, match="quantile_thresholds"):
+            build_tree_spec(depth, (0.0, 80.0))
 
     def test_depth_bounds(self):
         with pytest.raises(InvalidInputError):
@@ -259,8 +250,14 @@ class TestTrain:
 
 
 def manual_model(depth, gate_probs, expert_means, variance=1.0):
-    """Model whose gates emit fixed probabilities and experts fixed means."""
-    spec = build_tree_spec(depth, (0.0, 80.0))
+    """Model whose gates emit fixed probabilities and experts fixed means.
+
+    At x = 0 expert m predicts variance[m] (or the scalar ``variance``)
+    plus 1e-12.
+    """
+    spec = build_tree_spec(
+        depth, (0.0, 80.0), quantile_thresholds(np.linspace(1.0, 79.0, 2 ** (depth + 1)), depth)
+    )
     d = N_FEATURES + 1
     gates = []
     for p in gate_probs:
@@ -270,13 +267,11 @@ def manual_model(depth, gate_probs, expert_means, variance=1.0):
             GatePosterior(mean=mean, covariance=1e-9 * np.eye(d), xi=np.ones(1))
         )
     experts = []
-    for m in expert_means:
+    for m, v in zip(expert_means, np.broadcast_to(variance, len(expert_means))):
         mean = np.zeros(d)
         mean[0] = m
         experts.append(
-            ExpertPosterior(
-                mean=mean, covariance=1e-12 * np.eye(d), noise_precision=1.0 / variance
-            )
+            ExpertPosterior(mean=mean, covariance=1e-12 * np.eye(d), noise_precision=1.0 / v)
         )
     stats = FeatureStats(mean=np.zeros(N_FEATURES), scale=np.ones(N_FEATURES))
     return MoEModel(spec=spec, gates=tuple(gates), experts=tuple(experts), standardization=stats)
@@ -408,43 +403,50 @@ class TestNdtrOracle:
         assert isinstance(mixture_cdf(pred, 15.0), float)
 
 
+def predict_at_zero(depth, gate_probs, means, variances, margin=0.05, floor=0.0):
+    """Prediction of a :func:`manual_model` at x = 0."""
+    model = manual_model(depth, gate_probs, means, variances)
+    return infer(model, np.zeros(N_FEATURES), margin, floor)
+
+
 class TestPointEstimate:
     def test_single(self):
-        assert point_estimate(make_prediction([1.0], [12.5], [1.0])) == 12.5
+        assert predict_at_zero(0, [], [12.5], 1.0).point_estimate == 12.5
 
     def test_two_equal(self):
-        assert point_estimate(make_prediction([0.5, 0.5], [10.0, 20.0], [1.0, 1.0])) == 15.0
+        assert predict_at_zero(1, [0.5], [10.0, 20.0], 1.0).point_estimate == 15.0
 
     def test_matches_quadrature_mean(self):
         rng = np.random.default_rng(9)
         grid = quadrature_grid()
         for _ in range(10):
-            m = int(rng.integers(1, 5))
-            pred = make_prediction(
-                rng.dirichlet(np.ones(m)),
-                rng.uniform(0, 80, m),
-                rng.uniform(1.0, 50.0, m),
+            depth = int(rng.integers(0, 3))
+            m = 2**depth
+            pred = predict_at_zero(
+                depth, rng.uniform(0.05, 0.95, m - 1), rng.uniform(0, 80, m), rng.uniform(1.0, 50.0, m)
             )
             density = mixture_density(pred, grid)
             mean = np.trapezoid(grid * density, grid)
-            assert point_estimate(pred) == pytest.approx(mean, abs=1e-3)
+            assert pred.point_estimate == pytest.approx(mean, abs=1e-3)
 
 
 class TestErrorProbability:
     def test_vanishing_variance_vanishing_error(self):
         values = [
-            error_probability(make_prediction([1.0], [40.0], [v]))
-            for v in (25.0, 1.0, 0.01, 1e-6)
+            predict_at_zero(0, [], [40.0], v).error_probability for v in (25.0, 1.0, 0.01, 1e-6)
         ]
         assert values[-1] < 1e-9
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_standard_normal_case(self):
         # mean = point = 100, sd 5, band +/-5: 1 - (Phi(1) - Phi(-1))
-        pred = make_prediction([1.0], [100.0], [25.0])
         expected = 1.0 - (ndtr(1.0) - ndtr(-1.0))
-        assert error_probability(pred, 0.05) == pytest.approx(expected, abs=1e-12)
-        assert error_probability(pred, 0.05) == pytest.approx(0.3173, abs=1e-4)
+        assert float(_band_error_probability([1.0], [100.0], [25.0], 100.0, 5.0)) == pytest.approx(
+            expected, abs=1e-12
+        )
+        pred = predict_at_zero(0, [], [100.0], 25.0)
+        assert pred.error_probability == pytest.approx(expected, abs=1e-12)
+        assert pred.error_probability == pytest.approx(0.3173, abs=1e-4)
 
     def test_matches_band_quadrature(self):
         rng = np.random.default_rng(55)
@@ -458,28 +460,40 @@ class TestErrorProbability:
             half = 0.05 * abs(center)
             grid = np.linspace(center - half, center + half, 20001)
             inside = np.trapezoid(mixture_density(pred, grid), grid)
-            assert error_probability(pred, 0.05) == pytest.approx(1.0 - inside, abs=1e-4)
+            assert pred.error_probability == pytest.approx(1.0 - inside, abs=1e-4)
 
     def test_monotone_in_shrinking_variance(self):
         # All means pinned at the point estimate; scaling variances down
         # can only shrink the mass outside the band.
         rng = np.random.default_rng(56)
-        resp = rng.dirichlet(np.ones(3))
-        variances = rng.uniform(1.0, 20.0, 3)
-        values = []
-        for scale in (1.0, 0.5, 0.2, 0.05, 0.01):
-            pred = make_prediction(resp, np.full(3, 30.0), variances * scale)
-            values.append(error_probability(pred))
+        gate_probs = rng.uniform(0.05, 0.95, 3)
+        variances = rng.uniform(1.0, 20.0, 4)
+        values = [
+            predict_at_zero(2, gate_probs, np.full(4, 30.0), variances * scale).error_probability
+            for scale in (1.0, 0.5, 0.2, 0.05, 0.01)
+        ]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_zero_point_estimate_with_zero_floor(self):
-        pred = make_prediction([1.0], [0.0], [1.0])
-        assert error_probability(pred, 0.05, 0.0) == 1.0
+        assert predict_at_zero(0, [], [0.0], 1.0, 0.05, 0.0).error_probability == 1.0
 
     def test_absolute_floor_mode(self):
-        pred = make_prediction([1.0], [0.0], [1.0])
+        pred = predict_at_zero(0, [], [0.0], 1.0, 0.05, floor=2.0)
         expected = 1.0 - (ndtr(2.0) - ndtr(-2.0))
-        assert error_probability(pred, 0.05, error_floor=2.0) == pytest.approx(expected)
+        assert pred.error_probability == pytest.approx(expected)
+
+    def test_batched_band_matches_rows(self):
+        rng = np.random.default_rng(57)
+        resp = rng.dirichlet(np.ones(4), 6)
+        means = rng.uniform(5, 60, (6, 4))
+        variances = rng.uniform(0.5, 30.0, (6, 4))
+        centers = np.einsum("nm,nm->n", resp, means)
+        halves = np.maximum(0.05 * centers, 1.0)
+        batched = _band_error_probability(resp, means, variances, centers, halves)
+        assert batched.shape == (6,)
+        for i in range(6):
+            row = _band_error_probability(resp[i], means[i], variances[i], centers[i], halves[i])
+            assert float(row) == pytest.approx(batched[i], abs=1e-15)
 
 
 class TestFilterAndMetrics:
@@ -564,8 +578,8 @@ class TestConcurrency:
 
 class TestErrorProbabilityValidation:
     def test_negative_margin_rejected(self):
-        pred = make_prediction([1.0], [10.0], [1.0])
-        with pytest.raises(InvalidInputError):
-            error_probability(pred, margin_fraction=-0.1)
-        with pytest.raises(InvalidInputError):
-            error_probability(pred, error_floor=-1.0)
+        model = manual_model(0, [], [10.0])
+        with pytest.raises(InvalidInputError, match="non-negative"):
+            infer(model, np.zeros(N_FEATURES), margin_fraction=-0.1)
+        with pytest.raises(InvalidInputError, match="non-negative"):
+            infer(model, np.zeros(N_FEATURES), error_floor=-1.0)

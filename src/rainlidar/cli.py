@@ -186,7 +186,6 @@ def cmd_train(args) -> int:
     config = TrainConfig(basis=basis, gate_prior_precision=args.gate_prior)
     model = train(samples, spec, config=config, seed=args.seed)
     model.metadata["dataset_config"] = dataset.config
-    model.metadata["n_train_samples"] = len(samples)
     rio.save_model(args.out, model)
     print(f"train: depth {spec.depth}, {len(samples)} samples -> {args.out}")
     for name, info in model.metadata["node_counts"].items():

@@ -25,6 +25,9 @@ window bounds, split tag and provenance.
 Models: a versioned JSON document holding the tree spec, per-node
 posteriors (mean vectors, covariance matrices as row-major nested lists,
 noise precision), standardization statistics and training metadata.
+Version 2 keeps only what loading reads. A version 1 file also holds each
+gate's ``xi`` and warnings and two metadata copies; the reader ignores
+those keys, so both versions load through it.
 
 Floats are rendered with ``repr`` (shortest round-trip), so write/read
 cycles reproduce values bit-exactly and identical inputs produce
@@ -53,11 +56,12 @@ from .features import (
     _check_points,
     _id_array,
 )
-from .moe import MODEL_FORMAT_VERSION, MoEModel, TreeSpec
+from .moe import MoEModel, TreeSpec
 from .pipeline import Dataset, RainSeries
 from .vblearn import BasisConfig, ExpertPosterior, GatePosterior
 
 DATASET_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 _DATASET_MAGIC = "# rainlidar-dataset v"
 _DATASET_CONFIG = "# config "
@@ -401,8 +405,6 @@ def save_model(path, model: MoEModel) -> None:
                 "basis": _basis_to_doc(g.basis),
                 "mean": g.mean.tolist(),
                 "covariance": g.covariance.tolist(),
-                "xi": g.xi.tolist(),
-                "warnings": list(g.warnings),
             }
             for g in model.gates
         ],
@@ -432,7 +434,7 @@ def load_model(path) -> MoEModel:
             raise FileFormatError(f"{path}: malformed model JSON: {exc}") from exc
     if doc.get("format") != "rainlidar-model":
         raise FileFormatError(f"{path}: not a rainlidar model file")
-    if doc.get("version") != MODEL_FORMAT_VERSION:
+    if doc.get("version") not in (1, MODEL_FORMAT_VERSION):
         raise FileFormatError(f"{path}: unsupported model version {doc.get('version')}")
     try:
         spec = TreeSpec(
@@ -444,9 +446,7 @@ def load_model(path) -> MoEModel:
             GatePosterior(
                 mean=np.array(g["mean"]),
                 covariance=np.array(g["covariance"]),
-                xi=np.array(g["xi"]),
                 basis=_basis_from_doc(g["basis"]),
-                warnings=tuple(g.get("warnings", ())),
             )
             for g in doc["gates"]
         )

@@ -32,7 +32,6 @@ from .vblearn import (
     gate_probabilities,
 )
 
-MODEL_FORMAT_VERSION = 1
 BRANCH_CONVENTION = "gate True = target above threshold = right branch"
 
 # 1/sqrt(2), the argument scale and the erf/erfc switch of _ndtr_scalar.
@@ -346,7 +345,6 @@ def train(samples, spec: TreeSpec, config: TrainConfig | None = None, seed: int 
             "excluded from node training"
         )
     metadata = {
-        "format_version": MODEL_FORMAT_VERSION,
         "branch_convention": BRANCH_CONVENTION,
         "seed": int(seed),
         "n_samples": len(samples),
@@ -534,6 +532,11 @@ class FilteredMetrics:
     retention: float
     n_retained: int
 
+    @property
+    def tag(self) -> str:
+        """Report key suffix: the threshold in whole percent."""
+        return f"{int(round(self.threshold * 100))}"
+
 
 @dataclass(frozen=True)
 class EvaluationReport:
@@ -542,6 +545,16 @@ class EvaluationReport:
     mean_error_probability: float
     filtered: tuple
 
+    def __post_init__(self):
+        first = {}
+        for f in self.filtered:
+            other = first.setdefault(f.tag, f)
+            if other is not f:
+                raise InvalidInputError(
+                    f"error-probability thresholds {other.threshold} and {f.threshold} "
+                    f"share the report key suffix {f.tag}"
+                )
+
     def as_dict(self) -> dict:
         out = {
             "n_samples": self.n_samples,
@@ -549,10 +562,9 @@ class EvaluationReport:
             "mean_error_probability": self.mean_error_probability,
         }
         for f in self.filtered:
-            tag = f"{int(round(f.threshold * 100))}"
-            out[f"rmse_at_{tag}"] = f.rmse
-            out[f"retention_{tag}"] = f.retention
-            out[f"n_retained_{tag}"] = f.n_retained
+            out[f"rmse_at_{f.tag}"] = f.rmse
+            out[f"retention_{f.tag}"] = f.retention
+            out[f"n_retained_{f.tag}"] = f.n_retained
         return out
 
 

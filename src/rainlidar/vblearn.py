@@ -174,15 +174,14 @@ def _check_spd(cov: np.ndarray, what: str, tol: float = SPD_EIGENVALUE_TOL) -> N
 class GatePosterior:
     """Gaussian weight posterior of a binary threshold classifier.
 
-    ``xi`` holds the per-sample variational parameters of the final fit
-    iteration; they are kept for diagnostics only and play no role in
-    prediction. ``bound_trace`` is the variational lower bound per
-    iteration.
+    ``mean``, ``covariance`` and ``basis`` are all that prediction uses and
+    all that a model file keeps of a gate. ``warnings`` flag a degenerate fit and
+    ``bound_trace`` is the variational lower bound per iteration; both
+    are diagnostics of the fit and are not saved.
     """
 
     mean: np.ndarray
     covariance: np.ndarray
-    xi: np.ndarray
     basis: BasisConfig = BasisConfig()
     warnings: tuple = ()
     bound_trace: tuple = ()
@@ -190,14 +189,11 @@ class GatePosterior:
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
         object.__setattr__(self, "covariance", np.asarray(self.covariance, dtype=float))
-        object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float))
         if self.mean.ndim != 1:
             raise InvalidInputError("posterior mean must be a vector")
         if self.covariance.shape != (self.mean.size, self.mean.size):
             raise InvalidInputError("posterior covariance shape mismatch")
         _check_spd(self.covariance, "gate")
-        if np.any(self.xi < 0):
-            raise InvalidInputError("xi entries must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -312,18 +308,16 @@ def fit_vb_logistic(
             + float(np.sum(np.log(_expit(xi)) - 0.5 * xi + lam * xi**2))
         )
         trace.append(bound)
-        converged = np.isfinite(prev_bound) and abs(bound - prev_bound) <= tol * max(
+        if np.isfinite(prev_bound) and abs(bound - prev_bound) <= tol * max(
             1.0, abs(prev_bound)
-        )
+        ):
+            break
         prev_bound = bound
         second_moment = cov + np.outer(mu, mu)
         xi = np.sqrt(np.maximum(np.einsum("nd,de,ne->n", Phi, second_moment, Phi), 0.0))
-        if converged:
-            break
     return GatePosterior(
         mean=mu,
         covariance=cov,
-        xi=xi,
         basis=basis,
         warnings=flags,
         bound_trace=tuple(trace),
@@ -369,20 +363,13 @@ def predict_gate(posterior: GatePosterior, x) -> float:
     return float(gate_probabilities((posterior,), phi[None, :])[0, 0])
 
 
-def _linear_elbo(y, Phi, mu, cov, beta, a0, b0, a_n, b_n, fixed_alpha):
+def _linear_elbo(y, Phi, mu, cov, beta, a0, b0, a_n, b_n):
     n, d = Phi.shape
     resid2 = float(((y - Phi @ mu) ** 2).sum())
     quad = float(np.einsum("nd,de,ne->n", Phi, cov, Phi).sum())
     expected_w2 = float(mu @ mu + np.trace(cov))
     loglik = 0.5 * n * (np.log(beta) - np.log(2 * np.pi)) - 0.5 * beta * (resid2 + quad)
     entropy_w = 0.5 * d * (1 + np.log(2 * np.pi)) + 0.5 * np.linalg.slogdet(cov)[1]
-    if fixed_alpha is not None:
-        prior_w = (
-            -0.5 * d * np.log(2 * np.pi)
-            + 0.5 * d * np.log(fixed_alpha)
-            - 0.5 * fixed_alpha * expected_w2
-        )
-        return loglik + prior_w + entropy_w
     e_alpha = a_n / b_n
     e_ln_alpha = _digamma(a_n) - np.log(b_n)
     prior_w = -0.5 * d * np.log(2 * np.pi) + 0.5 * d * e_ln_alpha - 0.5 * e_alpha * expected_w2
@@ -399,7 +386,6 @@ def fit_vb_linear(
     beta_init: float = 1.0,
     max_iters: int = 200,
     tol: float = 1e-6,
-    fixed_alpha: float | None = None,
     basis: BasisConfig = BasisConfig(),
 ) -> ExpertPosterior:
     """Fit a Bayesian linear regressor by mean-field variational inference.
@@ -409,8 +395,7 @@ def fit_vb_linear(
 
         beta^-1 = (1/N) sum_n [(y_n - mu_N^T phi_n)^2 + phi_n^T Sigma_N phi_n]
 
-    which maximizes the bound for the current q(w). Passing ``fixed_alpha``
-    pins the weight precision instead of learning q(alpha).
+    which maximizes the bound for the current q(w).
     """
     Phi = np.asarray(designs, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -429,21 +414,19 @@ def fit_vb_linear(
     proj = Phi.T @ y
     beta = float(beta_init)
     a_n = a0 + 0.5 * d
-    b_n = b0
-    e_alpha = fixed_alpha if fixed_alpha is not None else a0 / b0
+    e_alpha = a0 / b0
     prev_bound = -np.inf
     trace = []
     for _ in range(max_iters):
         prec = e_alpha * eye + beta * gram
         cov = _solve_precision(prec, "expert")
         mu = beta * (cov @ proj)
-        if fixed_alpha is None:
-            b_n = b0 + 0.5 * float(mu @ mu + np.trace(cov))
-            e_alpha = a_n / b_n
+        b_n = b0 + 0.5 * float(mu @ mu + np.trace(cov))
+        e_alpha = a_n / b_n
         resid2 = float(((y - Phi @ mu) ** 2).sum())
         quad = float(np.einsum("nd,de,ne->n", Phi, cov, Phi).sum())
         beta = min(n / (resid2 + quad), BETA_MAX)
-        bound = _linear_elbo(y, Phi, mu, cov, beta, a0, b0, a_n, b_n, fixed_alpha)
+        bound = _linear_elbo(y, Phi, mu, cov, beta, a0, b0, a_n, b_n)
         trace.append(bound)
         if np.isfinite(prev_bound) and abs(bound - prev_bound) <= tol * max(
             1.0, abs(prev_bound)

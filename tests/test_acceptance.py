@@ -81,7 +81,7 @@ def test_criterion_01_variational_logistic_oracle():
         if s2 > 4.0:
             cov *= 4.0 / s2
         cov += 1e-6 * np.eye(d)
-        posterior = rl.GatePosterior(mean=mean, covariance=cov, xi=np.ones(1))
+        posterior = rl.GatePosterior(mean=mean, covariance=cov)
         draws = rng.multivariate_normal(mean, cov, size=100_000)
         mc = float(expit(draws @ phi).mean())
         worst_mc = max(worst_mc, abs(rl.predict_gate(posterior, x) - mc))
@@ -98,7 +98,7 @@ def test_criterion_01_variational_logistic_oracle():
 
 def test_criterion_02_literal_predictive_formulas():
     kappa_ok = rl.kappa(0.0) == 1.0
-    zero_mean = rl.GatePosterior(mean=np.zeros(4), covariance=np.eye(4), xi=np.ones(1))
+    zero_mean = rl.GatePosterior(mean=np.zeros(4), covariance=np.eye(4))
     gate_ok = rl.predict_gate(zero_mean, [2.0, -1.0, 0.5]) == 0.5
     rng = np.random.default_rng(7)
     worst = 0.0

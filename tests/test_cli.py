@@ -306,6 +306,25 @@ class TestEvaluate:
         doc = json.loads(report.read_text())
         assert "rmse_at_50" in doc["overall"] and "rmse_at_20" in doc["overall"]
 
+    def test_thresholds_sharing_a_report_key_are_usage_error(self, workspace, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        code = main([
+            "evaluate", "--model", str(workspace["model"]), "--dataset", str(workspace["dataset"]),
+            "--report", str(report), "--error-prob-thresholds", "0.1,0.104",
+        ])
+        assert code == EXIT_USAGE
+        assert "share the report key suffix 10" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_unknown_model_version_is_io_error(self, workspace, tmp_path, capsys):
+        doc = json.loads(workspace["model"].read_text())
+        doc["version"] = 3
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        code = main(["evaluate", "--model", str(model), "--dataset", str(workspace["dataset"])])
+        assert code == EXIT_IO
+        assert "unsupported model version 3" in capsys.readouterr().err
+
 
 class TestPredict:
     def test_streaming_emissions(self, workspace, tmp_path):

@@ -218,7 +218,7 @@ class TestInputs:
         mean = np.zeros(d)
         mean[1] = 1.0
         base = manual_model(1, [0.5], [10.0, 50.0])
-        gate = GatePosterior(mean=mean, covariance=1e-9 * np.eye(d), xi=np.ones(1))
+        gate = GatePosterior(mean=mean, covariance=1e-9 * np.eye(d))
         model = MoEModel(
             spec=base.spec,
             gates=(gate,),

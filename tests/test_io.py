@@ -12,7 +12,7 @@ from rainlidar import io as rio
 from rainlidar.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from rainlidar.errors import FileFormatError, InvalidInputError
 from rainlidar.features import Scan, ScanTable, WindowSample
-from rainlidar.moe import build_tree_spec, infer, train
+from rainlidar.moe import build_tree_spec, infer, infer_batch, train
 from rainlidar.pipeline import Dataset, RainSeries
 from tests.test_moe import make_samples
 
@@ -607,6 +607,87 @@ class TestModelFormat:
         loaded = rio.load_model(path)
         assert loaded.metadata["seed"] == 3
         assert loaded.metadata["branch_convention"] == model.metadata["branch_convention"]
+
+    def test_version_1_document_loads_bit_identical(self, tmp_path):
+        # A version 1 file holds every version 2 key plus the gate xi and
+        # warnings and two metadata copies; loading ignores the extras.
+        model, samples = self._model()
+        path = tmp_path / "model.json"
+        rio.save_model(path, model)
+        doc = json.loads(path.read_text())
+        doc["version"] = 1
+        for k, gate in enumerate(doc["gates"], start=1):
+            n_balanced = model.metadata["node_counts"][f"z{k}"]["n_balanced"]
+            gate["xi"] = np.linspace(0.5, 3.0, n_balanced).tolist()
+            gate["warnings"] = []
+        doc["gates"][0]["warnings"] = ["degenerate gate: single-class labels (all 1)"]
+        doc["metadata"]["format_version"] = 1
+        doc["metadata"]["n_train_samples"] = doc["metadata"]["n_samples"]
+        v1 = tmp_path / "model_v1.json"
+        v1.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        X = np.stack([s.features for s in samples])
+        expected = infer_batch(model, X)
+        for a, b in zip(expected, infer_batch(rio.load_model(v1), X)):
+            assert a.point_estimate == b.point_estimate
+            assert a.error_probability == b.error_probability
+            np.testing.assert_array_equal(a.responsibilities, b.responsibilities)
+            np.testing.assert_array_equal(a.means, b.means)
+            np.testing.assert_array_equal(a.variances, b.variances)
+
+    @pytest.mark.parametrize("version", [0, 3, "2"])
+    def test_unknown_version_rejected(self, tmp_path, version):
+        model, _ = self._model()
+        path = tmp_path / "model.json"
+        rio.save_model(path, model)
+        doc = json.loads(path.read_text())
+        doc["version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError, match="unsupported model version"):
+            rio.load_model(path)
+
+    def test_saved_keys_are_exactly_the_keys_read(self, tmp_path, monkeypatch):
+        # Every key of the saved document's structure (all but the free-form
+        # metadata) must be one that load_model reads: a field written but
+        # never read fails here.
+        model, _ = self._model()
+        path = tmp_path / "model.json"
+        rio.save_model(path, model)
+
+        class ReadKeys(dict):
+            def __getitem__(self, key):
+                self.read.add(key)
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                self.read.add(key)
+                return super().get(key, default)
+
+        docs = []
+
+        def hook(pairs):
+            d = ReadKeys(pairs)
+            d.read = set()
+            docs.append(d)
+            return d
+
+        load = json.load
+        monkeypatch.setattr(json, "load", lambda handle: load(handle, object_hook=hook))
+        rio.load_model(path)
+        read = {id(d): set(d.read) for d in docs}
+        doc = docs[-1]  # the hook sees the top-level object last
+        assert doc["version"] == rio.MODEL_FORMAT_VERSION == 2
+        structure = [doc, doc["spec"], doc["standardization"]]
+        for node in doc["gates"] + doc["experts"]:
+            structure += [node, node["basis"]]
+        for d in structure:
+            assert read[id(d)] == d.keys(), sorted(d.keys() - read[id(d)])
+        assert doc.keys() == {
+            "format", "version", "spec", "gates", "experts", "standardization", "metadata"
+        }
+        assert all(g.keys() == {"basis", "mean", "covariance"} for g in doc["gates"])
+        assert all(
+            e.keys() == {"basis", "mean", "covariance", "noise_precision"} for e in doc["experts"]
+        )
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "bogus.json"

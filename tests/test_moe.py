@@ -232,7 +232,6 @@ class TestTrain:
         for ga, gb in zip(a.gates, b.gates):
             np.testing.assert_array_equal(ga.mean, gb.mean)
             np.testing.assert_array_equal(ga.covariance, gb.covariance)
-            np.testing.assert_array_equal(ga.xi, gb.xi)
         for ea, eb in zip(a.experts, b.experts):
             np.testing.assert_array_equal(ea.mean, eb.mean)
             np.testing.assert_array_equal(ea.covariance, eb.covariance)
@@ -264,7 +263,7 @@ def manual_model(depth, gate_probs, expert_means, variance=1.0):
         mean = np.zeros(d)
         mean[0] = logit(p)
         gates.append(
-            GatePosterior(mean=mean, covariance=1e-9 * np.eye(d), xi=np.ones(1))
+            GatePosterior(mean=mean, covariance=1e-9 * np.eye(d))
         )
     experts = []
     for m, v in zip(expert_means, np.broadcast_to(variance, len(expert_means))):
@@ -538,6 +537,14 @@ class TestFilterAndMetrics:
         for key in ("rmse_all", "mean_error_probability", "rmse_at_25", "retention_25",
                     "rmse_at_10", "retention_10"):
             assert key in doc
+
+    @pytest.mark.parametrize("thresholds", [(0.1, 0.104), (0.25, 0.1, 0.249), (0.5, 0.5)])
+    def test_thresholds_sharing_a_report_key_rejected(self, thresholds):
+        # Each threshold is reported under its whole percent, so two that round
+        # alike would write one set of keys for two thresholds.
+        pairs = [(make_prediction([1.0], [50.0], [1.0]), 50.0)]
+        with pytest.raises(InvalidInputError, match="share the report key suffix"):
+            summarize_predictions(pairs, thresholds=thresholds)
 
 
 class TestEvaluate:

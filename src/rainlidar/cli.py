@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import io as _stringio
+import itertools
 import json
 import sys
 import time
@@ -26,7 +27,6 @@ from .moe import (
     TrainConfig,
     build_tree_spec,
     infer,
-    infer_batch,
     predict_batch,
     quantile_thresholds,
     summarize_predictions,
@@ -40,7 +40,7 @@ from .pipeline import (
     SPLIT_TRAIN,
     SPLIT_VALIDATION,
     Dataset,
-    _slide_windows,
+    StreamingPredictor,
     assemble_dataset,
     make_windows,
     preprocess,
@@ -119,7 +119,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_featurize(args) -> int:
-    scans = rio.read_scans(args.scans)
     series = rio.read_disdrometer(args.rain)
     config = {
         "duration": args.duration,
@@ -131,7 +130,9 @@ def cmd_featurize(args) -> int:
         "val_span": args.val_span,
         "session_id": args.session_id,
     }
-    if not scans:
+    blocks = rio.read_scan_blocks(args.scans)
+    first = next(blocks, None)
+    if first is None:
         dataset = Dataset(samples=[], split_tags=[], config=config, segment_spans=[])
         rio.write_dataset(args.out, dataset)
         print("featurize: warning: empty scan file; wrote empty dataset", file=sys.stderr)
@@ -140,7 +141,7 @@ def cmd_featurize(args) -> int:
         series, window=args.savgol_window, order=args.savgol_order, n_cut=args.trim
     )
     result = make_windows(
-        scans,
+        itertools.chain([first], blocks),
         duration=args.duration,
         box=CropBox(args.box),
         series=filtered,
@@ -238,25 +239,21 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     model = rio.load_model(args.model)
-    scans = rio.read_scans(args.scans)
     dataset_config = model.metadata.get("dataset_config", {})
     box = CropBox(args.box if args.box is not None else dataset_config.get("box_half_extent", 10.0))
     buffer_s = args.buffer if args.buffer is not None else dataset_config.get("duration", 10.0)
-    if buffer_s <= 0 or args.emit_period <= 0:
-        raise InvalidInputError("buffer and emission period must be positive")
-    if not scans:
+    predictor = StreamingPredictor(
+        model, box, buffer_s, args.emit_period, margin_fraction=args.margin, error_floor=args.floor
+    )
+    emissions = [e for block in rio.read_scan_blocks(args.scans) for e in predictor.push(block)]
+    emissions += predictor.close()
+    counts = predictor.windows.counts
+    if not counts.n_scans:
         raise InvalidInputError("no scans to predict on")
-    counts, windows = _slide_windows(
-        scans, box, buffer_s, args.emit_period, limit=float(scans.timestamps[-1]), end_anchored=True
-    )
-    windows = list(windows)
-    preds = infer_batch(
-        model, [v for *_, v in windows], margin_fraction=args.margin, error_floor=args.floor
-    )
     lines = ["time_s,point_estimate_mm_h,error_probability," + ",".join(
         f"resp_e{m}" for m in range(1, model.spec.n_experts + 1)
     )]
-    for (_, emit, _, _), pred in zip(windows, preds):
+    for emit, pred in emissions:
         resp = ",".join(repr(float(p)) for p in pred.responsibilities)
         lines.append(f"{emit!r},{pred.point_estimate!r},{pred.error_probability!r},{resp}")
     text = "\n".join(lines) + "\n"
@@ -318,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic session")
     p.add_argument("--out-scans", required=True)
     p.add_argument("--out-rain", required=True)
-    p.add_argument("--segments", default=None, help="duration:rate[:ramp],... (default: 25 min, 5/15/30/50 mm/h)")
+    p.add_argument("--segments", default=None, help="duration:rate[:ramp],... (default: 25 min, 7/15/30/50 mm/h)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--box", type=float, default=10.0, help="crop box half extent (m)")
     p.add_argument("--frame-rate", type=float, default=10.0)

@@ -7,13 +7,14 @@ Scan records (one scan per line, space separated)::
 
     frame_id timestamp x y z intensity [x y z intensity ...]
 
-are written from any iterable of scans and read into one
-:class:`~rainlidar.features.ScanTable`, both a block of lines at a time,
-so neither holds more than a block of text. The reader parses every point
-into one buffer. A block of single-spaced ASCII lines with finite values
-is parsed by one C-level ``np.fromstring`` pass; any other block goes line
-by line through ``int`` and ``float``, which decide what a malformed file
-is: its first bad line is reported as ``path:line:``.
+are written from any iterable of scans and read as
+:class:`~rainlidar.features.ScanTable` blocks of whole lines, both a block
+of lines at a time, so neither holds more than a block of text;
+:func:`read_scans` joins the blocks into one table, every point in one
+buffer. A block of single-spaced ASCII lines with finite values is parsed
+by one C-level ``np.fromstring`` pass; any other block goes line by line
+through ``int`` and ``float``, which decide what a malformed file is: its
+first bad line is reported as ``path:line:``.
 
 Disdrometer tracks: CSV with mandatory header
 ``timestamp_s,rate_mm_h,segment_id``.
@@ -95,8 +96,9 @@ def atomic_write_text(path, text: str) -> None:
 
 
 # Scan files are read, and written, this many bytes at a time; a read
-# block is cut back to a line end.
-SCAN_BLOCK_BYTES = 1 << 22
+# block is cut back to a line end. A 512 KiB block holds about 7,000
+# points; larger blocks parse and write no faster and hold more.
+SCAN_BLOCK_BYTES = 1 << 19
 
 # The most bytes one value takes in a scan line: the longest float repr
 # (-2.2250738585072014e-308) and its separator.
@@ -134,8 +136,47 @@ def write_scans(path, scans) -> int:
             n_scans += len(block)
 
 
+def read_scan_blocks(path):
+    """Yield a scan file as :class:`ScanTable` blocks of whole lines, in file order.
+
+    The file is read SCAN_BLOCK_BYTES at a time, each block cut back to a
+    line end, so no more than a block of text and its scans are held at
+    once; a block without scans (only blank lines) yields nothing. Each
+    block is checked as :func:`read_scans` describes: the first bad line of
+    the file raises when its block is reached, after the blocks ahead of it
+    have been yielded.
+    """
+    lines_before = 0
+    with open(path, "rb") as handle:
+        rest, more = b"", True
+        while more:
+            chunk = handle.read(SCAN_BLOCK_BYTES)
+            more = bool(chunk)
+            cut = chunk.rfind(b"\n") + 1 if more else 0
+            if more and cut == 0:
+                rest += chunk
+                continue
+            # One copy: the lines that end in this chunk, after the rest of the last.
+            data = b"".join((rest, memoryview(chunk)[:cut])) if more else rest
+            rest = chunk[cut:]
+            del chunk
+            if not data:
+                continue
+            ids, times, n_points, quads, n_lines = _parse_block(data) or _parse_lines(
+                data, path, lines_before
+            )
+            # The text is not held while the consumer works on its scans.
+            del data
+            lines_before += n_lines
+            if ids:
+                offsets = np.zeros(len(ids) + 1, dtype=np.intp)
+                np.cumsum(n_points, out=offsets[1:])
+                yield ScanTable._trusted(_id_array(ids), times, offsets, quads[:, :3], quads[:, 3])
+
+
 def read_scans(path) -> ScanTable:
-    """Read a scan file into a :class:`ScanTable`.
+    """Read a scan file into a :class:`ScanTable`: the blocks of
+    :func:`read_scan_blocks`, joined.
 
     Blank lines are skipped. A line with a field count other than 2 + 4k, a
     token that ``int`` (frame id) or ``float`` rejects, raises
@@ -144,40 +185,26 @@ def read_scans(path) -> ScanTable:
     file decides which.
     """
     # Seeded so that the offsets start at 0 and an empty file gives an empty table.
-    frame_ids, timestamps, counts = [], [np.empty(0)], [[0]]
-    lines_before = filled = 0
-    with open(path, "rb") as handle:
-        # Every value takes at least 2 bytes, so a point at least 8: one
-        # buffer this large holds every point, and the pages that no point
-        # reaches are never touched.
-        points = np.empty((os.fstat(handle.fileno()).st_size // 8 + 1, 4))
-        rest = b""
-        while True:
-            chunk = handle.read(SCAN_BLOCK_BYTES)
-            data = rest + chunk
-            if chunk:
-                cut = data.rfind(b"\n") + 1
-                if cut == 0:
-                    rest = data
-                    continue
-                data, rest = data[:cut], data[cut:]
-            if data:
-                block = _parse_block(data) or _parse_lines(data, path, lines_before)
-                ids, times, n_points, quads, n_lines = block
-                if filled + len(quads) > len(points):  # the file grew while read
-                    points.resize((2 * (filled + len(quads)), 4), refcheck=False)
-                points[filled : filled + len(quads)] = quads
-                filled += len(quads)
-                frame_ids.extend(ids)
-                timestamps.append(times)
-                counts.append(n_points)
-                lines_before += n_lines
-            if not chunk:
-                break
+    frame_ids, timestamps, counts = [np.empty(0, dtype=np.int64)], [np.empty(0)], [[0]]
+    filled = 0
+    # Every value takes at least 2 bytes, so a point at least 8: one buffer
+    # this large holds every point, and the pages that no point reaches are
+    # never touched.
+    points = np.empty((os.stat(path).st_size // 8 + 1, 4))
+    for block in read_scan_blocks(path):
+        n = block.xyz.shape[0]
+        if filled + n > len(points):  # the file grew while read
+            points.resize((2 * (filled + n), 4), refcheck=False)
+        points[filled : filled + n, :3] = block.xyz
+        points[filled : filled + n, 3] = block.intensity
+        filled += n
+        frame_ids.append(block.frame_ids)
+        timestamps.append(block.timestamps)
+        counts.append(np.diff(block.offsets))
     # In place: realloc returns the untouched tail without a copy of the rest.
     points.resize((filled, 4), refcheck=False)
     return ScanTable._trusted(
-        _id_array(frame_ids),
+        _id_array(np.concatenate(frame_ids)),
         np.concatenate(timestamps),
         np.cumsum(np.concatenate(counts)),
         points[:, :3],
@@ -434,8 +461,10 @@ def load_model(path) -> MoEModel:
             raise FileFormatError(f"{path}: malformed model JSON: {exc}") from exc
     if doc.get("format") != "rainlidar-model":
         raise FileFormatError(f"{path}: not a rainlidar model file")
-    if doc.get("version") not in (1, MODEL_FORMAT_VERSION):
-        raise FileFormatError(f"{path}: unsupported model version {doc.get('version')}")
+    version = doc.get("version")
+    # type(): True == 1 and 2.0 == 2, but neither is a version that was written.
+    if type(version) is not int or version not in (1, MODEL_FORMAT_VERSION):
+        raise FileFormatError(f"{path}: unsupported model version {version}")
     try:
         spec = TreeSpec(
             depth=doc["spec"]["depth"],
@@ -464,6 +493,11 @@ def load_model(path) -> MoEModel:
             scale=np.array(doc["standardization"]["scale"]),
         )
         metadata = doc.get("metadata", {})
-    except (KeyError, TypeError) as exc:
+        if version == 1:
+            # v1 copies of the version and of n_samples; a saved model is v2.
+            metadata = {
+                k: v for k, v in metadata.items() if k not in ("format_version", "n_train_samples")
+            }
+    except (KeyError, TypeError, AttributeError) as exc:
         raise FileFormatError(f"{path}: incomplete model document: {exc}") from exc
     return MoEModel(spec=spec, gates=gates, experts=experts, standardization=stats, metadata=metadata)

@@ -7,22 +7,33 @@ into fixed-duration windows, each reduced to one feature vector and the
 mean of the interpolated ground truth over the window. A central slice of
 every segment is held out as validation data.
 
-``featurize`` (:func:`make_windows`) and ``predict`` share one windowing
-path over a :class:`ScanTable`: each scan of a used window is featurized
-once into a per-scan table, and every window's vector is reduced from its
-slice of that table.
+``featurize`` (:func:`make_windows`) and ``predict``
+(:class:`StreamingPredictor`) share one windowing path, a
+:class:`WindowStream` that takes scans a block at a time: each scan of a
+used window is featurized once into per-scan rows, every window's vector is
+reduced from its scans' rows, and the scans no open window can hold are
+let go, so memory does not grow with the recording.
 """
 
 from __future__ import annotations
 
 import warnings as _warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import features
 from .errors import InvalidInputError
-from .features import CropBox, ScanTable, WindowSample, reduce_window, scan_feature_rows
+from .features import (
+    CropBox,
+    ScanTable,
+    WindowSample,
+    reduce_window,
+    scan_feature_rows,
+)
+from .moe import MoEModel, infer_batch
 
 DEFAULT_SAVGOL_WINDOW = 9
 DEFAULT_SAVGOL_ORDER = 2
@@ -188,12 +199,192 @@ def target_for_window(series: RainSeries, window) -> float | None:
 
 @dataclass
 class WindowingResult:
-    """Windowing output plus skip counters for reporting."""
+    """Windowing output plus scan, window and skip counters for reporting."""
 
     samples: list
     n_windows: int = 0
     n_skipped_no_target: int = 0
     n_skipped_few_scans: int = 0
+    n_scans: int = 0
+
+
+class WindowStream:
+    """The one windowing path, shared by :func:`make_windows` and
+    :class:`StreamingPredictor` (``rainlidar featurize`` and ``predict``).
+
+    Scans arrive in time order through :meth:`push`, a :class:`ScanTable`
+    (or a sequence of :class:`Scan`) at a time, and :meth:`close` ends the
+    stream. With t0 the first scan time, window k starts at
+    t0 + k * period and lasts ``duration``; ``end_anchored`` windows
+    instead end at t0 + duration + k * period. A window holds the scans
+    with start <= timestamp < end, both edges moved EDGE_TOLERANCE early.
+    Windows end no later than the last scan time, plus, unless
+    ``end_anchored``, the median gap between scans, so the windows that may
+    end after the last scan are decided at close. Windows with fewer than
+    two scans are skipped, and with ``series`` so are windows without a
+    target; ``counts`` counts scans, windows and skips.
+
+    push and close return ``(start, end, target, vector)`` for kept windows
+    in time order (target None without ``series``). The scans of kept
+    windows, and no others, are featurized once each by
+    :func:`scan_feature_rows`, in batches of about _FILL_BATCH_POINTS
+    points, so that Prim's lockstep chunks stay dense; a window's vector is
+    reduced from its scans' rows once they are filled, so vectors come a
+    batch at a time.
+
+    The stream holds the scans that an undecided window can hold, the
+    scans queued for the next batch, the rows of the scans of kept windows
+    and (unless ``end_anchored``) every timestamp, at 8 bytes a scan.
+    ``peak_scans`` and ``peak_points`` are the most scans and points held
+    at once.
+
+    A scan earlier than the one before it is recorded, after which push
+    ignores its scans and close raises InvalidInputError: a reader can go
+    on to the end of its file, whose malformed lines take precedence.
+    """
+
+    def __init__(
+        self,
+        box: CropBox,
+        duration: float,
+        period: float,
+        series: RainSeries | None = None,
+        end_anchored: bool = False,
+    ):
+        if not (duration > 0 and period > 0):
+            raise InvalidInputError("window duration and period must be positive")
+        self.box, self.duration, self.period = box, float(duration), float(period)
+        self.series, self.end_anchored = series, end_anchored
+        self.counts = WindowingResult(samples=[])
+        self.peak_scans = self.peak_points = 0
+        self._t0 = self._last = None
+        self._times = []  # every timestamp, for the median gap (not end_anchored)
+        self._open = ScanTable.from_scans([])  # scans from global index _base on
+        self._base = 0
+        self._k = 0  # the first undecided window
+        self._queue, self._queued_scans, self._queued_points = [], 0, 0
+        # Global indices and rows of the scans of kept windows, from the first
+        # scan that a pending or undecided window holds; the queued scans are
+        # its tail, their rows not yet filled.
+        self._need = np.empty(0, dtype=np.intp)
+        self._rows = np.empty((0, 4))
+        self._pending = []  # kept windows not yet reduced: (start, end, target, i0, i1)
+        self._unordered = False
+
+    def push(self, scans) -> list:
+        """Add the next scans; return the kept windows whose vectors are ready."""
+        table = ScanTable.from_scans(scans)
+        if self._unordered or not table:
+            return []
+        times = table.timestamps
+        if (self._last is not None and times[0] < self._last) or np.any(np.diff(times) < 0):
+            self._unordered = True
+            return []
+        if self._t0 is None:
+            self._t0 = float(times[0])
+        self._last = float(times[-1])
+        self.counts.n_scans += len(table)
+        if not self.end_anchored:
+            self._times.append(times)
+        self._open = ScanTable.concat([self._open, table])
+        self._note_held()
+        return self._decide(self._last, final=False)
+
+    def close(self) -> list:
+        """End the stream: decide the last windows and return the rest of the kept ones."""
+        if self._unordered:
+            raise InvalidInputError("scans must be time-ordered")
+        if self._t0 is None:
+            return []
+        limit = self._last
+        if not self.end_anchored:
+            gaps = np.diff(np.concatenate(self._times))
+            limit += float(np.median(gaps)) if gaps.size else 0.0
+        return self._decide(limit, final=True) + self._fill()
+
+    def _bounds(self, k: int):
+        if self.end_anchored:
+            end = (self._t0 + self.duration) + k * self.period
+            return end - self.duration, end
+        start = self._t0 + k * self.period
+        return start, start + self.duration
+
+    def _decide(self, limit: float, final: bool) -> list:
+        """Decide the windows that end by ``limit`` and hold no scan to come.
+
+        Before close, ``limit`` is the last scan time, at most the final
+        limit, so a window decided early is one that the final limit keeps.
+        """
+        out = []
+        last = limit + 1e-9
+        # One index past the last window that can fit; the end test trims it.
+        n_windows = max(int((last - self._t0 - self.duration) // self.period) + 2, 0)
+        times = self._open.timestamps
+        while self._k < n_windows:
+            start, end = self._bounds(self._k)
+            if not end <= last:
+                break
+            lo, hi = np.searchsorted(times, [start - EDGE_TOLERANCE, end - EDGE_TOLERANCE]).tolist()
+            if hi == times.size and not final:
+                break  # the next scans may fall in the window
+            self._k += 1
+            self.counts.n_windows += 1
+            if hi - lo < 2:
+                self.counts.n_skipped_few_scans += 1
+                continue
+            target = None if self.series is None else target_for_window(self.series, (start, end))
+            if self.series is not None and target is None:
+                self.counts.n_skipped_no_target += 1
+                continue
+            out += self._keep(start, end, target, self._base + lo, self._base + hi)
+        # No undecided window holds a scan before the next one's start.
+        drop = int(np.searchsorted(times, self._bounds(self._k)[0] - EDGE_TOLERANCE))
+        self._open, self._base = self._open[drop:], self._base + drop
+        # A pending window starts no later than the next undecided one.
+        first = self._pending[0][3] if self._pending else self._base
+        cut = int(np.searchsorted(self._need, first))
+        self._need, self._rows = self._need[cut:], self._rows[cut:]
+        return out
+
+    def _keep(self, start, end, target, i0: int, i1: int) -> list:
+        """Queue the scans of a kept window not queued before; fill the
+        queue first when they would take it past the batch budget."""
+        out = []
+        a = max(i0, int(self._need[-1]) + 1 if self._need.size else 0)
+        if a < i1:
+            # A copy, so that the open scans can be let go before the fill.
+            scans = ScanTable.concat([self._open[a - self._base : i1 - self._base]])
+            points = int(scans.offsets[-1])
+            if self._queued_points and self._queued_points + points > features._FILL_BATCH_POINTS:
+                out = self._fill()
+            self._queue.append(scans)
+            self._queued_scans += len(scans)
+            self._queued_points += points
+            self._need = np.concatenate([self._need, np.arange(a, i1)])
+            self._rows = np.concatenate([self._rows, np.full((i1 - a, 4), np.nan)])
+            self._note_held()
+        self._pending.append((start, end, target, i0, i1))
+        return out
+
+    def _fill(self) -> list:
+        """Fill the rows of the queued scans; reduce every pending window."""
+        if self._queue:
+            table = ScanTable.concat(self._queue)
+            self._queue, self._queued_scans, self._queued_points = [], 0, 0
+            n = len(table)
+            scan_feature_rows(table, self.box, np.arange(n), self._rows[self._rows.shape[0] - n :])
+        out = []
+        for start, end, target, i0, i1 in self._pending:
+            a, b = np.searchsorted(self._need, [i0, i1]).tolist()
+            out.append((start, end, target, reduce_window(self._rows[a:b])))
+        self._pending = []
+        return out
+
+    def _note_held(self) -> None:
+        self.peak_scans = max(self.peak_scans, len(self._open) + self._queued_scans)
+        self.peak_points = max(
+            self.peak_points, int(self._open.offsets[-1]) + self._queued_points
+        )
 
 
 def make_windows(
@@ -207,13 +398,15 @@ def make_windows(
 ) -> WindowingResult:
     """Slice a time-ordered scan stream into feature/target window samples.
 
-    ``scans`` is a :class:`ScanTable` or a sequence of :class:`Scan`.
-    Windows are [start, start + duration) with start = t0 + k * stride
-    (default: stride = duration, i.e. non-overlapping). Windows without a
-    ground-truth target or with fewer than two scans are skipped and counted.
-    Feature vectors are reduced from a per-scan feature table shared by the
-    windows (see :func:`_slide_windows`), so overlapping windows featurize
-    each scan once and scans of skipped windows are never featurized.
+    ``scans`` is a :class:`ScanTable`, a sequence of :class:`Scan`, or an
+    iterable of ScanTable blocks that follow one another in time, such as
+    :func:`rainlidar.io.read_scan_blocks` yields. Windows are
+    [start, start + duration) with start = t0 + k * stride (default:
+    stride = duration, i.e. non-overlapping). Windows without a
+    ground-truth target or with fewer than two scans are skipped and
+    counted. The blocks are pushed through one :class:`WindowStream`, so
+    overlapping windows featurize each scan once and scans of skipped
+    windows are never featurized.
     """
     if duration <= 0:
         raise InvalidInputError("duration must be positive")
@@ -224,14 +417,10 @@ def make_windows(
         raise InvalidInputError(
             "stride < duration produces overlapping windows; pass allow_overlap=True"
         )
-    scans = ScanTable.from_scans(scans)
-    if not scans:
-        return WindowingResult(samples=[])
-    gaps = np.diff(scans.timestamps)
-    slack = float(np.median(gaps)) if gaps.size else 0.0
-    result, windows = _slide_windows(
-        scans, box, duration, stride, limit=float(scans.timestamps[-1]) + slack, series=series
-    )
+    stream = WindowStream(box, duration, stride, series=series)
+    blocks = [scans] if isinstance(scans, Sequence) else scans
+    windows = [w for block in blocks for w in stream.push(block)] + stream.close()
+    result = stream.counts
     result.samples = [
         WindowSample(features=vector, target=target, window=(start, end), provenance=session_id)
         for start, end, target, vector in windows
@@ -239,72 +428,45 @@ def make_windows(
     return result
 
 
-def _slide_windows(
-    scans,
-    box: CropBox,
-    duration: float,
-    period: float,
-    limit: float,
-    series: RainSeries | None = None,
-    end_anchored: bool = False,
-):
-    """The one windowing path, shared by :func:`make_windows` and ``rainlidar predict``.
+class StreamingPredictor:
+    """Rainfall predictions over a live scan stream, as ``rainlidar predict`` emits them.
 
-    ``scans`` is a non-empty :class:`ScanTable` or sequence of
-    :class:`Scan`. With t0 the first scan time, window k starts at
-    t0 + k * period and lasts ``duration``; ``end_anchored`` windows
-    instead end at t0 + duration + k * period. Windows end no later
-    than ``limit``; a window holds the scans with start <= timestamp < end,
-    both edges moved EDGE_TOLERANCE early. Windows with fewer than two scans
-    are skipped, and with ``series`` so are windows without a target.
-
-    Returns ``(counts, windows)``: a :class:`WindowingResult` with the window
-    and skip counts, and a generator of ``(start, end, target, vector)`` for
-    the kept windows in time order (target None without ``series``). When
-    the first vector is asked for, the scans of the kept windows, and no
-    others, are featurized once each into a per-scan table by one
-    :func:`scan_feature_rows` batch; every vector is reduced from its
-    window's slice of that table.
+    Emission k is at t0 + buffer + k * period, from the scans of the
+    ``buffer`` seconds before it: the end-anchored windows of a
+    :class:`WindowStream` (``windows``), with its memory bound. push and
+    close return ``(time, MixturePrediction)`` for the emissions whose
+    vectors are ready, in time order, by :func:`infer_batch` with
+    ``margin_fraction`` and ``error_floor``; a row does not depend on its
+    batch, so the predictions equal those of one batch over the whole
+    stream.
     """
-    scans = ScanTable.from_scans(scans)
-    times = scans.timestamps
-    if np.any(np.diff(times) < 0):
-        raise InvalidInputError("scans must be time-ordered")
-    t0 = float(times[0])
-    last = limit + 1e-9
-    # One index past the last window that can fit; the mask below trims it.
-    k = np.arange(max(int((last - t0 - duration) // period) + 2, 0))
-    if end_anchored:
-        ends = (t0 + duration) + k * period
-        starts = ends - duration
-    else:
-        starts = t0 + k * period
-        ends = starts + duration
-    inside = ends <= last
-    starts, ends = starts[inside], ends[inside]
-    lo = np.searchsorted(times, starts - EDGE_TOLERANCE)
-    hi = np.searchsorted(times, ends - EDGE_TOLERANCE)
-    counts = WindowingResult(samples=[], n_windows=len(starts))
-    kept = []
-    for start, end, i0, i1 in zip(starts.tolist(), ends.tolist(), lo.tolist(), hi.tolist()):
-        if i1 - i0 < 2:
-            counts.n_skipped_few_scans += 1
-            continue
-        target = None if series is None else target_for_window(series, (start, end))
-        if series is not None and target is None:
-            counts.n_skipped_no_target += 1
-            continue
-        kept.append((start, end, target, i0, i1))
 
-    def vectors():
-        used = np.zeros(len(scans), dtype=bool)
-        for _, _, _, i0, i1 in kept:
-            used[i0:i1] = True
-        rows = scan_feature_rows(scans, box, np.flatnonzero(used))
-        for start, end, target, i0, i1 in kept:
-            yield start, end, target, reduce_window(rows[i0:i1])
+    def __init__(
+        self,
+        model: MoEModel,
+        box: CropBox,
+        buffer: float,
+        period: float,
+        margin_fraction: float = 0.05,
+        error_floor: float = 0.0,
+    ):
+        self.model = model
+        self.margin_fraction, self.error_floor = margin_fraction, error_floor
+        self.windows = WindowStream(box, buffer, period, end_anchored=True)
 
-    return counts, vectors()
+    def push(self, scans) -> list:
+        """Add the next scans (see :meth:`WindowStream.push`)."""
+        return self._infer(self.windows.push(scans))
+
+    def close(self) -> list:
+        """End the stream (see :meth:`WindowStream.close`)."""
+        return self._infer(self.windows.close())
+
+    def _infer(self, windows: list) -> list:
+        preds = infer_batch(
+            self.model, [v for *_, v in windows], self.margin_fraction, self.error_floor
+        )
+        return [(end, pred) for (_, end, _, _), pred in zip(windows, preds)]
 
 
 @dataclass

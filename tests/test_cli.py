@@ -14,7 +14,8 @@ import rainlidar
 from rainlidar import features, pipeline
 from rainlidar import io as rio
 from rainlidar.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from rainlidar.features import Scan, ScanTable, WindowSample
+from rainlidar.features import CropBox, Scan, ScanTable, WindowSample
+from rainlidar.moe import infer_batch
 from rainlidar.pipeline import Dataset
 from rainlidar.synth import (
     DisturbanceParams,
@@ -24,8 +25,11 @@ from rainlidar.synth import (
     _draw_bursts,
     generate_session,
 )
+from tests.test_pipeline import slide_windows_oracle
 
 SMALL_SEGMENTS = "300:7:10,300:15:10,300:30:10,300:50:10"
+# A read block larger than any scan file of these tests: one block, the whole table.
+WHOLE = 1 << 24
 
 
 @pytest.fixture(scope="module")
@@ -417,6 +421,139 @@ class TestPredict:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert "8" in err and "4" in err
+
+
+def gappy_scans():
+    """10 Hz over 0..14.9 s and 28..39.9 s, eight points a scan."""
+    times = np.concatenate([np.arange(0, 150), np.arange(280, 400)]) / 10
+    rng = np.random.default_rng(9)
+    return [Scan(rng.uniform(-5, 5, (8, 3)), rng.random(8), float(t), i) for i, t in enumerate(times)]
+
+
+def stream_csv(model, windows) -> str:
+    """stream.csv as ``rainlidar predict`` writes it, from (start, end, target, vector) windows."""
+    preds = infer_batch(model, [v for *_, v in windows])
+    lines = ["time_s,point_estimate_mm_h,error_probability," + ",".join(
+        f"resp_e{m}" for m in range(1, model.spec.n_experts + 1)
+    )]
+    for (_, emit, _, _), pred in zip(windows, preds):
+        resp = ",".join(repr(float(p)) for p in pred.responsibilities)
+        lines.append(f"{emit!r},{pred.point_estimate!r},{pred.error_probability!r},{resp}")
+    return "\n".join(lines) + "\n"
+
+
+class TestStreamedCommands:
+    """featurize and predict read, push block by block, and write at the end."""
+
+    FEATURIZE = ["--duration", "4", "--stride", "2", "--allow-overlap", "--trim", "2",
+                 "--savgol-window", "5", "--savgol-order", "1", "--val-span", "10"]
+
+    @pytest.fixture(scope="class")
+    def session(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("streamed")
+        scans, rain = root / "scans.txt", root / "rain.csv"
+        assert main([
+            "synth", "--out-scans", str(scans), "--out-rain", str(rain), "--seed", "3",
+            "--segments", "60:7:5,60:30:5", "--frame-rate", "2", "--disdro-rate", "0.5",
+        ]) == EXIT_OK
+        gappy = root / "gappy.txt"
+        rio.write_scans(gappy, gappy_scans())
+        return {"scans": scans, "rain": rain, "gappy": gappy}
+
+    def outputs(self, monkeypatch, tmp_path, session, model, block):
+        monkeypatch.setattr(rio, "SCAN_BLOCK_BYTES", block)
+        out = {}
+        name = f"dataset{block}.csv"
+        assert main([
+            "featurize", "--scans", str(session["scans"]), "--rain", str(session["rain"]),
+            "--out", str(tmp_path / name), *self.FEATURIZE,
+        ]) == EXIT_OK
+        out["dataset"] = (tmp_path / name).read_bytes()
+        for key in ("scans", "gappy"):
+            name = f"stream_{key}{block}.csv"
+            assert main([
+                "predict", "--model", str(model), "--scans", str(session[key]),
+                "--buffer", "10", "--emit-period", "1", "--out", str(tmp_path / name),
+            ]) == EXIT_OK
+            out[key] = (tmp_path / name).read_bytes()
+        return out
+
+    def test_small_blocks_give_the_whole_table_bytes(self, workspace, session, tmp_path, monkeypatch):
+        whole = self.outputs(monkeypatch, tmp_path, session, workspace["model"], WHOLE)
+        # a few hundred bytes (lines many blocks long) and sizes that cut lines mid-scan
+        for block in (300, 777, 4097, 65536):
+            assert self.outputs(monkeypatch, tmp_path, session, workspace["model"], block) == whole
+        # the whole-table path that the streamed one replaced
+        model = rio.load_model(workspace["model"])
+        for key in ("scans", "gappy"):
+            table = rio.read_scans(session[key])
+            _, windows = slide_windows_oracle(
+                table, CropBox(10.0), 10.0, 1.0, limit=float(table.timestamps[-1]), end_anchored=True
+            )
+            assert whole[key].decode() == stream_csv(model, windows)
+        table = rio.read_scans(session["scans"])
+        series = pipeline.preprocess(rio.read_disdrometer(session["rain"]), window=5, order=1, n_cut=2)
+        gap = float(np.median(np.diff(table.timestamps)))
+        _, windows = slide_windows_oracle(
+            table, CropBox(10.0), 4.0, 2.0, limit=float(table.timestamps[-1]) + gap, series=series
+        )
+        samples = rio.read_dataset(tmp_path / f"dataset{WHOLE}.csv").samples
+        assert len(samples) == len(windows) > 10
+        for sample, (start, end, target, vector) in zip(samples, windows):
+            assert sample.window == (start, end) and sample.target == target
+            assert sample.features.tobytes() == vector.tobytes()
+
+    @staticmethod
+    def bad_file(path, unsorted, bad_line):
+        """Scan lines 1..30 at 10 Hz; line ``unsorted`` goes back in time and
+        line ``bad_line`` (if any) has a malformed value."""
+        lines = []
+        for i in range(30):
+            t = 0.1 * i if i + 1 != unsorted else 0.0
+            value = "1.5x" if i + 1 == bad_line else "1.5"
+            lines.append(f"{i} {t!r} 1.0 2.0 3.0 {value} -1.0 0.5 2.0 0.25")
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def commands(self, workspace, scans, out):
+        return {
+            "featurize": ["featurize", "--scans", str(scans), "--rain", str(workspace["rain"]),
+                          "--out", str(out), "--duration", "1"],
+            "predict": ["predict", "--model", str(workspace["model"]), "--scans", str(scans),
+                        "--buffer", "1", "--out", str(out)],
+        }
+
+    @pytest.mark.parametrize("command", ["featurize", "predict"])
+    def test_unsorted_pair_ahead_of_a_malformed_line_is_io_error(
+        self, workspace, tmp_path, monkeypatch, capsys, command
+    ):
+        monkeypatch.setattr(rio, "SCAN_BLOCK_BYTES", 200)
+        scans = self.bad_file(tmp_path / "bad.txt", unsorted=3, bad_line=25)
+        out = tmp_path / "out.csv"
+        assert main(self.commands(workspace, scans, out)[command]) == EXIT_IO
+        assert f"{scans}:25: " in capsys.readouterr().err
+        assert not out.exists()
+        # without the malformed line, the order is what is wrong
+        scans = self.bad_file(tmp_path / "unsorted.txt", unsorted=3, bad_line=None)
+        assert main(self.commands(workspace, scans, out)[command]) == EXIT_USAGE
+        assert "time-ordered" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["featurize", "predict", "predict-stdout"])
+    def test_bad_line_in_the_last_block_leaves_no_output(
+        self, workspace, tmp_path, monkeypatch, capsys, command
+    ):
+        monkeypatch.setattr(rio, "SCAN_BLOCK_BYTES", 200)
+        scans = self.bad_file(tmp_path / "bad.txt", unsorted=None, bad_line=30)
+        out = tmp_path / "out.csv"
+        argv = self.commands(workspace, scans, out)[command.split("-")[0]]
+        if command == "predict-stdout":
+            argv[-1] = "-"
+        assert main(argv) == EXIT_IO
+        captured = capsys.readouterr()
+        assert f"{scans}:30: " in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [scans]
 
 
 class TestBench:

@@ -437,6 +437,14 @@ class TestScanReaderBlocks:
         assert new == old
         assert new[0] is InvalidInputError
 
+    def test_blocks_are_whole_lines_that_join_to_the_file(self, tmp_path, small_blocks):
+        scans = random_scans(seed=18, n_scans=40)
+        path = tmp_path / "scans.txt"
+        rio.write_scans(path, scans)
+        blocks = list(rio.read_scan_blocks(path))
+        assert len(blocks) > 10 and all(blocks)
+        assert_same_scans(ScanTable.concat(blocks), scans)
+
     def test_one_buffer_for_every_point(self, tmp_path):
         # the points are views of one (N, 4) array cut to the point count
         scans = random_scans(seed=15, n_scans=30)
@@ -608,9 +616,8 @@ class TestModelFormat:
         assert loaded.metadata["seed"] == 3
         assert loaded.metadata["branch_convention"] == model.metadata["branch_convention"]
 
-    def test_version_1_document_loads_bit_identical(self, tmp_path):
-        # A version 1 file holds every version 2 key plus the gate xi and
-        # warnings and two metadata copies; loading ignores the extras.
+    def _v1_file(self, tmp_path):
+        """(model, samples, its v2 file, the same model as a v1 file)."""
         model, samples = self._model()
         path = tmp_path / "model.json"
         rio.save_model(path, model)
@@ -625,6 +632,12 @@ class TestModelFormat:
         doc["metadata"]["n_train_samples"] = doc["metadata"]["n_samples"]
         v1 = tmp_path / "model_v1.json"
         v1.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        return model, samples, path, v1
+
+    def test_version_1_document_loads_bit_identical(self, tmp_path):
+        # A version 1 file holds every version 2 key plus the gate xi and
+        # warnings and two metadata copies; loading ignores the extras.
+        model, samples, _, v1 = self._v1_file(tmp_path)
         X = np.stack([s.features for s in samples])
         expected = infer_batch(model, X)
         for a, b in zip(expected, infer_batch(rio.load_model(v1), X)):
@@ -634,7 +647,22 @@ class TestModelFormat:
             np.testing.assert_array_equal(a.means, b.means)
             np.testing.assert_array_equal(a.variances, b.variances)
 
-    @pytest.mark.parametrize("version", [0, 3, "2"])
+    def test_version_1_document_saved_again_is_version_2(self, tmp_path):
+        # the v1 metadata copies are dropped on load, so the re-saved file is
+        # the v2 file of the same model, and it reloads bit-identically
+        _, samples, v2, v1 = self._v1_file(tmp_path)
+        again = tmp_path / "model_again.json"
+        rio.save_model(again, rio.load_model(v1))
+        metadata = json.loads(again.read_text())["metadata"]
+        assert "format_version" not in metadata and "n_train_samples" not in metadata
+        assert again.read_bytes() == v2.read_bytes()
+        X = np.stack([s.features for s in samples])
+        for a, b in zip(infer_batch(rio.load_model(v1), X), infer_batch(rio.load_model(again), X)):
+            assert a.point_estimate == b.point_estimate
+            assert a.error_probability == b.error_probability
+            np.testing.assert_array_equal(a.responsibilities, b.responsibilities)
+
+    @pytest.mark.parametrize("version", [0, 3, "2", True, 1.0, 2.0])
     def test_unknown_version_rejected(self, tmp_path, version):
         model, _ = self._model()
         path = tmp_path / "model.json"

@@ -5,13 +5,22 @@ import warnings
 import numpy as np
 import pytest
 
-from rainlidar import pipeline
+from rainlidar import features, pipeline
+from rainlidar import io as rio
 from rainlidar.errors import InvalidInputError
-from rainlidar.features import CropBox, Scan, ScanTable, window_features
+from rainlidar.features import (
+    CropBox,
+    Scan,
+    ScanTable,
+    reduce_window,
+    scan_feature_rows,
+    window_features,
+)
 from rainlidar.pipeline import (
     EDGE_TOLERANCE,
     Dataset,
     RainSeries,
+    WindowStream,
     assemble_dataset,
     make_windows,
     measurement_volatility,
@@ -22,7 +31,6 @@ from rainlidar.pipeline import (
     target_for_window,
     trim_segments,
 )
-from rainlidar.pipeline import _slide_windows
 
 
 def series_of(rates, dt=10.0, segment_ids=None):
@@ -317,10 +325,9 @@ class TestSharedTable:
     def test_emissions_equal_per_window_features_bitwise(self, seed):
         scans = random_session(seed)
         box = CropBox(5.0)
-        counts, windows = _slide_windows(
-            scans, box, 1.5, 0.4, limit=scans[-1].timestamp, end_anchored=True
-        )
-        windows, table_warnings = recorded_undefined(lambda: list(windows))
+        stream = WindowStream(box, 1.5, 0.4, end_anchored=True)
+        windows, table_warnings = recorded_undefined(lambda: stream.push(scans) + stream.close())
+        counts = stream.counts
         assert len(windows) + counts.n_skipped_few_scans == counts.n_windows
         direct_warnings = []
         for start, end, target, vector in windows:
@@ -331,6 +338,164 @@ class TestSharedTable:
             direct_warnings += caught
             assert np.array_equal(vector, expected)
         assert table_warnings == direct_warnings
+
+
+def slide_windows_oracle(scans, box, duration, period, limit, series=None, end_anchored=False):
+    """The whole-table windowing path that WindowStream replaced, verbatim
+    but for its name and its vectors, which it returns as a list."""
+    scans = ScanTable.from_scans(scans)
+    times = scans.timestamps
+    if np.any(np.diff(times) < 0):
+        raise InvalidInputError("scans must be time-ordered")
+    t0 = float(times[0])
+    last = limit + 1e-9
+    # One index past the last window that can fit; the mask below trims it.
+    k = np.arange(max(int((last - t0 - duration) // period) + 2, 0))
+    if end_anchored:
+        ends = (t0 + duration) + k * period
+        starts = ends - duration
+    else:
+        starts = t0 + k * period
+        ends = starts + duration
+    inside = ends <= last
+    starts, ends = starts[inside], ends[inside]
+    lo = np.searchsorted(times, starts - EDGE_TOLERANCE)
+    hi = np.searchsorted(times, ends - EDGE_TOLERANCE)
+    counts = pipeline.WindowingResult(samples=[], n_windows=len(starts))
+    kept = []
+    for start, end, i0, i1 in zip(starts.tolist(), ends.tolist(), lo.tolist(), hi.tolist()):
+        if i1 - i0 < 2:
+            counts.n_skipped_few_scans += 1
+            continue
+        target = None if series is None else target_for_window(series, (start, end))
+        if series is not None and target is None:
+            counts.n_skipped_no_target += 1
+            continue
+        kept.append((start, end, target, i0, i1))
+
+    def vectors():
+        used = np.zeros(len(scans), dtype=bool)
+        for _, _, _, i0, i1 in kept:
+            used[i0:i1] = True
+        rows = scan_feature_rows(scans, box, np.flatnonzero(used))
+        for start, end, target, i0, i1 in kept:
+            yield start, end, target, reduce_window(rows[i0:i1])
+
+    return counts, list(vectors())
+
+
+def pushed_in_blocks(stream, scans, cuts):
+    """What ``stream`` returns for ``scans`` pushed as the blocks between ``cuts``, then closed."""
+    table = ScanTable.from_scans(scans)
+    bounds = [0, *sorted(cuts), len(table)]
+    out = [w for a, b in zip(bounds[:-1], bounds[1:]) for w in stream.push(table[a:b])]
+    return out + stream.close()
+
+
+def assert_same_windows(got, want):
+    assert [w[:3] for w in got] == [w[:3] for w in want]
+    assert all(a[3].tobytes() == b[3].tobytes() for a, b in zip(got, want))
+
+
+class TestWindowStream:
+    """Scans pushed block by block against the whole-table path it replaced."""
+
+    SERIES = RainSeries([0.0, 6.0, 9.0, 30.0], [3.0, 5.0, 8.0, 2.0], [0, 0, 1, 1])
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("budget", [1, 40, 1 << 15])
+    @pytest.mark.parametrize(
+        "duration, period, end_anchored",
+        [(1.0, 0.35, False), (1.0, 1.0, False), (0.7, 1.6, False), (1.5, 0.4, True), (0.5, 2.5, True)],
+    )
+    def test_blocks_equal_whole_table_oracle(
+        self, monkeypatch, seed, budget, duration, period, end_anchored
+    ):
+        monkeypatch.setattr(features, "_FILL_BATCH_POINTS", budget)
+        scans = random_session(seed)
+        rng = np.random.default_rng([71, seed])
+        # blocks of one scan, empty blocks and long ones
+        cuts = rng.integers(0, len(scans) + 1, size=int(rng.integers(1, 40))).tolist()
+        box = CropBox(5.0)
+        series = None if end_anchored else self.SERIES
+        times = np.array([s.timestamp for s in scans])
+        gaps = np.median(np.diff(times))
+        limit = times[-1] if end_anchored else float(times[-1]) + float(gaps)
+        (counts, want), want_warnings = recorded_undefined(
+            lambda: slide_windows_oracle(scans, box, duration, period, limit, series, end_anchored)
+        )
+        stream = WindowStream(box, duration, period, series=series, end_anchored=end_anchored)
+        got, got_warnings = recorded_undefined(lambda: pushed_in_blocks(stream, scans, cuts))
+        assert want
+        assert_same_windows(got, want)
+        assert got_warnings == want_warnings  # "undefined in all", in the same order
+        assert stream.counts.n_windows == counts.n_windows
+        assert stream.counts.n_skipped_few_scans == counts.n_skipped_few_scans
+        assert stream.counts.n_skipped_no_target == counts.n_skipped_no_target
+        assert stream.counts.n_scans == len(scans)
+
+    @pytest.mark.parametrize("end_anchored", [False, True])
+    def test_each_kept_scan_filled_once_in_order(self, monkeypatch, end_anchored):
+        monkeypatch.setattr(features, "_FILL_BATCH_POINTS", 30)
+        scans = [scan_at(t) for t in np.arange(0, 300) / 10]
+        seen = counting_crops(monkeypatch)
+        stream = WindowStream(
+            CropBox(10.0), 2.0, 0.5, series=series_of(np.full(3, 5.0)), end_anchored=end_anchored
+        )
+        windows = pushed_in_blocks(stream, scans, range(7, 300, 7))
+        held = {
+            i for start, end, _, _ in windows for i, s in enumerate(scans)
+            if start - EDGE_TOLERANCE <= s.timestamp < end - EDGE_TOLERANCE
+        }
+        assert seen == sorted(held)
+
+    @pytest.mark.parametrize("end_anchored", [False, True])
+    def test_held_scans_do_not_grow_with_the_file(self, tmp_path, monkeypatch, end_anchored):
+        # Lines of one length (six-digit frame ids, timestamps 1000.0 to
+        # 9999.9), so the file's blocks and the windows repeat in step.
+        monkeypatch.setattr(rio, "SCAN_BLOCK_BYTES", 1000)
+        monkeypatch.setattr(features, "_FILL_BATCH_POINTS", 200)
+        points = np.array([[1.25, -2.5, 3.75], [0.5, 0.25, -1.5], [2.0, 2.0, -3.0]])
+        peaks = []
+        for n in (1500, 3000):
+            path = tmp_path / f"scans{n}.txt"
+            rio.write_scans(
+                path, (Scan(points, np.ones(3), (10000 + k) / 10, 100000 + k) for k in range(n))
+            )
+            stream = WindowStream(
+                CropBox(10.0), 2.0, 0.5,
+                series=RainSeries(np.arange(990.0, 1400.0), np.full(410, 5.0), np.zeros(410, int)),
+                end_anchored=end_anchored,
+            )
+            windows = [w for block in rio.read_scan_blocks(path) for w in stream.push(block)]
+            windows += stream.close()
+            assert len(windows) == stream.counts.n_windows > n / 5 - 5
+            peaks.append((stream.peak_scans, stream.peak_points))
+        assert peaks[0] == peaks[1]
+        assert peaks[0][0] < 150
+
+    def test_order_violation_raised_at_close(self):
+        scans = [scan_at(t) for t in np.arange(0, 100) / 10]
+        stream = WindowStream(CropBox(10.0), 1.0, 1.0)
+        stream.push(scans[50:])
+        decided = stream.counts.n_windows
+        assert decided > 0
+        # an earlier scan is recorded; the scans after it are ignored
+        assert stream.push(scans[:50]) == []
+        assert stream.push(scans[50:]) == []
+        assert stream.counts.n_windows == decided
+        with pytest.raises(InvalidInputError, match="time-ordered"):
+            stream.close()
+
+    def test_empty_stream(self):
+        stream = WindowStream(CropBox(10.0), 1.0, 1.0)
+        assert stream.push([]) == [] and stream.close() == []
+        assert stream.counts.n_windows == stream.counts.n_scans == 0
+
+    @pytest.mark.parametrize("duration, period", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
+    def test_non_positive_duration_or_period_rejected(self, duration, period):
+        with pytest.raises(InvalidInputError, match="positive"):
+            WindowStream(CropBox(10.0), duration, period)
 
 
 class TestWindowStarts:
@@ -368,10 +533,9 @@ class TestWindowStarts:
 
     def test_tenth_second_emissions_hold_ten_scans(self):
         scans = self.tagged_scans(100)
-        counts, windows = _slide_windows(
-            scans, CropBox(10.0), 1.0, 0.1, limit=scans[-1].timestamp, end_anchored=True
-        )
-        windows = list(windows)
+        stream = WindowStream(CropBox(10.0), 1.0, 0.1, end_anchored=True)
+        windows = stream.push(scans) + stream.close()
+        counts = stream.counts
         assert counts.n_windows == len(windows) == 90
         assert [w[3][2] for w in windows] == [k + 4.5 for k in range(90)]
         np.testing.assert_allclose(

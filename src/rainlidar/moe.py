@@ -334,6 +334,8 @@ def train(samples, spec: TreeSpec, config: TrainConfig | None = None, seed: int 
             tol=config.tol,
             basis=config.basis,
         )
+        for w in posterior.warnings:
+            flags.append(f"expert e{m} (range [{rlo}, {rhi})): {w}")
         node_counts[f"e{m}"] = {"range": (rlo, rhi), "n_samples": int(idx.size)}
         if config.record_assignments:
             assignments[f"e{m}"] = sorted(int(i) for i in idx)

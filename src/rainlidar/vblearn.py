@@ -103,16 +103,8 @@ class BasisConfig:
         return 1 + n_features * self.effective_degree
 
 
-def apply_basis(x, config: BasisConfig = BasisConfig()) -> np.ndarray:
-    """Expand a single feature vector: [1, x_1^1..x_1^deg, x_2^1..x_2^deg, ...]."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 1:
-        raise InvalidInputError("expected a non-empty 1-d feature vector")
-    return design_matrix(x[None, :], config)[0]
-
-
 def design_matrix(X, config: BasisConfig = BasisConfig()) -> np.ndarray:
-    """Basis expansion of each row of a sample matrix, shape (N, D); see :func:`apply_basis`."""
+    """Basis expansion of each row: [1, x_1^1..x_1^deg, x_2^1..x_2^deg, ...], shape (N, D)."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] < 1:
         raise InvalidInputError("expected a 2-d sample matrix")
@@ -175,9 +167,10 @@ class GatePosterior:
     """Gaussian weight posterior of a binary threshold classifier.
 
     ``mean``, ``covariance`` and ``basis`` are all that prediction uses and
-    all that a model file keeps of a gate. ``warnings`` flag a degenerate fit and
-    ``bound_trace`` is the variational lower bound per iteration; both
-    are diagnostics of the fit and are not saved.
+    all that a model file keeps of a gate. ``warnings`` flag a degenerate fit
+    or one stopped at the iteration cap, and ``bound_trace`` is the
+    variational lower bound per iteration; both are diagnostics of the fit
+    and are not saved.
     """
 
     mean: np.ndarray
@@ -198,12 +191,17 @@ class GatePosterior:
 
 @dataclass(frozen=True)
 class ExpertPosterior:
-    """Gaussian weight posterior plus noise precision of a regression node."""
+    """Gaussian weight posterior plus noise precision of a regression node.
+
+    As for :class:`GatePosterior`, ``warnings`` and ``bound_trace`` are
+    diagnostics of the fit and are not saved.
+    """
 
     mean: np.ndarray
     covariance: np.ndarray
     noise_precision: float
     basis: BasisConfig = BasisConfig()
+    warnings: tuple = ()
     bound_trace: tuple = ()
 
     def __post_init__(self):
@@ -220,27 +218,34 @@ class ExpertPosterior:
             raise InvalidInputError("noise precision must be positive")
 
 
-@dataclass(frozen=True)
-class GaussianPrediction:
-    """Predictive Gaussian for one input: mean in mm/h, variance in (mm/h)^2."""
+def _solve_precision(prec: np.ndarray, what: str) -> tuple:
+    """Covariance and its log-determinant from a symmetric precision matrix.
 
-    mean: float
-    variance: float
-
-    def __post_init__(self):
-        if not self.variance > 0:
-            raise InvalidInputError("predictive variance must be positive")
-
-
-def _solve_precision(prec: np.ndarray, what: str) -> np.ndarray:
-    cond = float(np.linalg.cond(prec))
-    if not np.isfinite(cond) or cond > _CONDITION_LIMIT:
+    One eigendecomposition prec = V diag(lam) V^T gives the positive
+    definiteness check, the 2-norm condition number lam_max / lam_min (what
+    ``np.linalg.cond`` computes for an SPD matrix), the covariance
+    V diag(1 / lam) V^T and ln|Sigma| = -sum ln lam.
+    """
+    evals, vecs = np.linalg.eigh(prec)
+    cond = float(evals[-1]) / float(evals[0]) if evals[0] > 0 else math.inf
+    if not cond <= _CONDITION_LIMIT:
         raise NumericalError(
             f"{what} precision matrix is ill-conditioned "
             f"(condition number {cond:.3e}); check feature scaling"
         )
-    cov = np.linalg.inv(prec)
-    return 0.5 * (cov + cov.T)
+    cov = (vecs / evals) @ vecs.T
+    return 0.5 * (cov + cov.T), -float(np.sum(np.log(evals)))
+
+
+def _converged(bound: float, prev_bound: float, tol: float) -> bool:
+    """Relative change of the lower bound within ``tol``, from the second iteration on."""
+    return bool(np.isfinite(prev_bound)) and abs(bound - prev_bound) <= tol * max(
+        1.0, abs(prev_bound)
+    )
+
+
+def _cap_warning(max_iters: int, tol: float) -> str:
+    return f"not converged: stopped at the {max_iters}-iteration cap (tol {tol:g})"
 
 
 def fit_vb_logistic(
@@ -267,7 +272,7 @@ def fit_vb_logistic(
     The update alternates the Gaussian refit for fixed xi with the closed
     form xi update; the variational lower bound is non-decreasing across
     iterations. Single-class inputs are fitted anyway but flagged in the
-    result's ``warnings``.
+    result's ``warnings``, as is a fit that stops at ``max_iters``.
     """
     Phi = np.asarray(designs, dtype=float)
     t = np.asarray(labels, dtype=float)
@@ -296,25 +301,25 @@ def fit_vb_logistic(
     for _ in range(max_iters):
         lam = lambda_jj(xi)
         prec = prior_precision * eye + 2.0 * (Phi.T * lam) @ Phi
-        cov = _solve_precision(prec, "gate")
+        cov, logdet_cov = _solve_precision(prec, "gate")
         mu = cov @ (Phi.T @ (t - 0.5))
         # Bound for the current xi with its optimal Gaussian (prior mean 0):
         # 0.5 ln|Sigma_N| + (D/2) ln alpha + 0.5 mu^T Sigma_N^-1 mu
         #   + sum_n [ln sigmoid(xi) - xi/2 + lambda(xi) xi^2]
         bound = (
-            0.5 * np.linalg.slogdet(cov)[1]
+            0.5 * logdet_cov
             + 0.5 * d * np.log(prior_precision)
             + 0.5 * float(mu @ prec @ mu)
             + float(np.sum(np.log(_expit(xi)) - 0.5 * xi + lam * xi**2))
         )
         trace.append(bound)
-        if np.isfinite(prev_bound) and abs(bound - prev_bound) <= tol * max(
-            1.0, abs(prev_bound)
-        ):
+        if _converged(bound, prev_bound, tol):
             break
         prev_bound = bound
         second_moment = cov + np.outer(mu, mu)
-        xi = np.sqrt(np.maximum(np.einsum("nd,de,ne->n", Phi, second_moment, Phi), 0.0))
+        xi = np.sqrt(np.maximum(np.einsum("nd,nd->n", Phi @ second_moment, Phi), 0.0))
+    else:
+        flags += (_cap_warning(max_iters, tol),)
     return GatePosterior(
         mean=mu,
         covariance=cov,
@@ -357,19 +362,11 @@ def expert_predictions(experts, Phi) -> tuple:
     return means, noise + quad
 
 
-def predict_gate(posterior: GatePosterior, x) -> float:
-    """Posterior predictive probability that the target exceeds the gate threshold."""
-    phi = apply_basis(x, posterior.basis)
-    return float(gate_probabilities((posterior,), phi[None, :])[0, 0])
-
-
-def _linear_elbo(y, Phi, mu, cov, beta, a0, b0, a_n, b_n):
-    n, d = Phi.shape
-    resid2 = float(((y - Phi @ mu) ** 2).sum())
-    quad = float(np.einsum("nd,de,ne->n", Phi, cov, Phi).sum())
-    expected_w2 = float(mu @ mu + np.trace(cov))
-    loglik = 0.5 * n * (np.log(beta) - np.log(2 * np.pi)) - 0.5 * beta * (resid2 + quad)
-    entropy_w = 0.5 * d * (1 + np.log(2 * np.pi)) + 0.5 * np.linalg.slogdet(cov)[1]
+def _linear_elbo(n, d, sq_err, expected_w2, logdet_cov, beta, a0, b0, a_n, b_n):
+    """Expert lower bound from the fit's moments: sq_err = sum_n E[(y_n - w^T phi_n)^2]
+    (residuals plus quadratic terms), expected_w2 = E[w^T w], logdet_cov = ln|Sigma_N|."""
+    loglik = 0.5 * n * (np.log(beta) - np.log(2 * np.pi)) - 0.5 * beta * sq_err
+    entropy_w = 0.5 * d * (1 + np.log(2 * np.pi)) + 0.5 * logdet_cov
     e_alpha = a_n / b_n
     e_ln_alpha = _digamma(a_n) - np.log(b_n)
     prior_w = -0.5 * d * np.log(2 * np.pi) + 0.5 * d * e_ln_alpha - 0.5 * e_alpha * expected_w2
@@ -395,7 +392,8 @@ def fit_vb_linear(
 
         beta^-1 = (1/N) sum_n [(y_n - mu_N^T phi_n)^2 + phi_n^T Sigma_N phi_n]
 
-    which maximizes the bound for the current q(w).
+    which maximizes the bound for the current q(w). A fit that stops at
+    ``max_iters`` is flagged in the result's ``warnings``.
     """
     Phi = np.asarray(designs, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -417,33 +415,29 @@ def fit_vb_linear(
     e_alpha = a0 / b0
     prev_bound = -np.inf
     trace = []
+    flags = ()
     for _ in range(max_iters):
         prec = e_alpha * eye + beta * gram
-        cov = _solve_precision(prec, "expert")
+        cov, logdet_cov = _solve_precision(prec, "expert")
         mu = beta * (cov @ proj)
-        b_n = b0 + 0.5 * float(mu @ mu + np.trace(cov))
+        expected_w2 = float(mu @ mu + np.trace(cov))
+        b_n = b0 + 0.5 * expected_w2
         e_alpha = a_n / b_n
         resid2 = float(((y - Phi @ mu) ** 2).sum())
-        quad = float(np.einsum("nd,de,ne->n", Phi, cov, Phi).sum())
+        quad = float(np.einsum("nd,nd->n", Phi @ cov, Phi).sum())
         beta = min(n / (resid2 + quad), BETA_MAX)
-        bound = _linear_elbo(y, Phi, mu, cov, beta, a0, b0, a_n, b_n)
+        bound = _linear_elbo(n, d, resid2 + quad, expected_w2, logdet_cov, beta, a0, b0, a_n, b_n)
         trace.append(bound)
-        if np.isfinite(prev_bound) and abs(bound - prev_bound) <= tol * max(
-            1.0, abs(prev_bound)
-        ):
+        if _converged(bound, prev_bound, tol):
             break
         prev_bound = bound
+    else:
+        flags = (_cap_warning(max_iters, tol),)
     return ExpertPosterior(
         mean=mu,
         covariance=cov,
         noise_precision=beta,
         basis=basis,
+        warnings=flags,
         bound_trace=tuple(trace),
     )
-
-
-def predict_expert(posterior: ExpertPosterior, x) -> GaussianPrediction:
-    """Predictive Gaussian mu_N^T phi(x), beta^-1 + phi(x)^T Sigma_N phi(x)."""
-    phi = apply_basis(x, posterior.basis)
-    means, variances = expert_predictions((posterior,), phi[None, :])
-    return GaussianPrediction(mean=float(means[0, 0]), variance=float(variances[0, 0]))

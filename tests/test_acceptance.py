@@ -84,7 +84,8 @@ def test_criterion_01_variational_logistic_oracle():
         posterior = rl.GatePosterior(mean=mean, covariance=cov)
         draws = rng.multivariate_normal(mean, cov, size=100_000)
         mc = float(expit(draws @ phi).mean())
-        worst_mc = max(worst_mc, abs(rl.predict_gate(posterior, x) - mc))
+        p = float(rl.gate_probabilities((posterior,), rl.design_matrix(x[None, :]))[0, 0])
+        worst_mc = max(worst_mc, abs(p - mc))
     elapsed = time.perf_counter() - t0
     ok = mean_err <= 0.15 and worst_mc <= 0.02 and elapsed < 60.0
     report(
@@ -99,7 +100,7 @@ def test_criterion_01_variational_logistic_oracle():
 def test_criterion_02_literal_predictive_formulas():
     kappa_ok = rl.kappa(0.0) == 1.0
     zero_mean = rl.GatePosterior(mean=np.zeros(4), covariance=np.eye(4))
-    gate_ok = rl.predict_gate(zero_mean, [2.0, -1.0, 0.5]) == 0.5
+    gate_ok = rl.gate_probabilities((zero_mean,), rl.design_matrix([[2.0, -1.0, 0.5]]))[0, 0] == 0.5
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(50):
@@ -109,9 +110,11 @@ def test_criterion_02_literal_predictive_formulas():
         beta = float(rng.uniform(0.1, 10.0))
         post = rl.ExpertPosterior(mean=rng.normal(size=d), covariance=cov, noise_precision=beta)
         x = rng.normal(size=d - 1)
-        phi = rl.apply_basis(x)
+        design = rl.design_matrix(x[None, :])
+        phi = design[0]
         direct = 1.0 / beta + float(phi @ cov @ phi)
-        worst = max(worst, abs(rl.predict_expert(post, x).variance - direct))
+        _, variances = rl.expert_predictions((post,), design)
+        worst = max(worst, abs(float(variances[0, 0]) - direct))
     ok = kappa_ok and gate_ok and worst <= 1e-12
     report(
         2,

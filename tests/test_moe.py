@@ -22,7 +22,7 @@ from rainlidar.moe import (
     summarize_predictions,
     train,
 )
-from rainlidar.vblearn import ExpertPosterior, GatePosterior, predict_expert
+from rainlidar.vblearn import ExpertPosterior, GatePosterior, design_matrix, expert_predictions
 
 N_FEATURES = 8
 
@@ -162,17 +162,18 @@ class TestTrain:
         assert pred.n_components == 1
         assert pred.responsibilities[0] == 1.0
 
-    def test_depth_zero_matches_predict_expert_exactly(self):
+    def test_depth_zero_matches_expert_predictions_exactly(self):
         samples = make_samples(np.linspace(1.0, 70.0, 24))
         model = train(samples, build_tree_spec(0, (0.0, 80.0)), seed=0)
         x = samples[5].features
         from rainlidar.features import standardize_apply
 
-        direct = predict_expert(model.experts[0], standardize_apply(model.standardization, x))
+        phi = design_matrix(standardize_apply(model.standardization, x)[None, :])
+        means, variances = expert_predictions(model.experts, phi)
         pred = infer(model, x)
-        assert pred.means[0] == direct.mean
-        assert pred.variances[0] == direct.variance
-        assert pred.point_estimate == direct.mean
+        assert pred.means[0] == means[0, 0]
+        assert pred.variances[0] == variances[0, 0]
+        assert pred.point_estimate == means[0, 0]
 
     def test_routing_of_mid_range_sample(self):
         # Sample with y=15 trains z1 (label 0), z2 (label 1), expert e2,
@@ -214,6 +215,21 @@ class TestTrain:
         spec = build_tree_spec(1, (0.0, 80.0), [20.0])
         model = train(samples, spec, seed=0)
         assert any("single-class" in w for w in model.metadata["warnings"])
+
+    def test_iteration_cap_warnings_name_the_node(self):
+        samples = make_samples(np.linspace(1.0, 70.0, 30), seed=2)
+        spec = build_tree_spec(1, (0.0, 80.0), [20.0])
+        # The gate needs 208 iterations on these samples.
+        converged = train(samples, spec, config=TrainConfig(max_iters=400), seed=0)
+        assert converged.metadata["warnings"] == []
+        capped = train(samples, spec, config=TrainConfig(max_iters=2), seed=0)
+        cap = "not converged: stopped at the 2-iteration cap (tol 1e-06)"
+        assert capped.metadata["warnings"] == [
+            f"gate z1 (threshold 20.0): {cap}",
+            f"expert e1 (range [0.0, 20.0)): {cap}",
+            f"expert e2 (range [20.0, 80.0)): {cap}",
+        ]
+        assert [e.warnings for e in capped.experts] == [(cap,), (cap,)]
 
     def test_class_balance_exact_parity(self):
         targets = [5.0] * 10 + [30.0] * 3

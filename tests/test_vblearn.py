@@ -7,22 +7,24 @@ import numpy as np
 import pytest
 from scipy.special import digamma, expit, gammaln
 
-from rainlidar.errors import InvalidInputError
+from rainlidar.errors import InvalidInputError, NumericalError
 from rainlidar.vblearn import (
+    _CONDITION_LIMIT,
     BasisConfig,
     ExpertPosterior,
     GatePosterior,
     _digamma,
     _expit,
-    apply_basis,
+    _solve_precision,
     design_matrix,
+    expert_predictions,
     fit_vb_linear,
     fit_vb_logistic,
+    gate_probabilities,
     kappa,
     lambda_jj,
-    predict_expert,
-    predict_gate,
 )
+from tests.test_infer_batch import _oracle_apply_basis
 
 
 def bound_is_monotone(trace, slack=1e-8):
@@ -30,33 +32,57 @@ def bound_is_monotone(trace, slack=1e-8):
     return bool(np.all(np.diff(trace) >= -slack * np.maximum(1.0, np.abs(trace[:-1]))))
 
 
+def gate_probability_at(posterior, x):
+    """P(z = True | x) of one gate at one raw input, through the batched kernel."""
+    Phi = design_matrix(np.atleast_2d(x), posterior.basis)
+    return float(gate_probabilities((posterior,), Phi)[0, 0])
+
+
+def expert_prediction_at(posterior, x):
+    """(mean, variance) of one expert at one raw input, through the batched kernel."""
+    Phi = design_matrix(np.atleast_2d(x), posterior.basis)
+    means, variances = expert_predictions((posterior,), Phi)
+    return float(means[0, 0]), float(variances[0, 0])
+
+
+def spd_matrix(evals, seed=0):
+    """Q diag(evals) Q^T for a seeded random orthogonal Q."""
+    evals = np.asarray(evals, dtype=float)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(evals.size, evals.size)))
+    a = (q * evals) @ q.T
+    return 0.5 * (a + a.T)
+
+
 class TestBasis:
     def test_linear_with_bias(self):
-        np.testing.assert_array_equal(apply_basis([2.0]), [1.0, 2.0])
+        np.testing.assert_array_equal(design_matrix([[2.0]]), [[1.0, 2.0]])
 
     def test_zero_vector(self):
-        np.testing.assert_array_equal(apply_basis([0.0, 0.0]), [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(design_matrix([[0.0, 0.0]]), [[1.0, 0.0, 0.0]])
 
     def test_polynomial_degree_2(self):
         cfg = BasisConfig(kind="polynomial", degree=2)
-        np.testing.assert_array_equal(apply_basis([2.0], cfg), [1.0, 2.0, 4.0])
+        np.testing.assert_array_equal(design_matrix([[2.0]], cfg), [[1.0, 2.0, 4.0]])
 
     def test_output_dim(self):
         cfg = BasisConfig(kind="polynomial", degree=3)
         assert cfg.output_dim(8) == 25
-        assert apply_basis(np.ones(8), cfg).size == 25
+        assert design_matrix(np.ones((1, 8)), cfg).shape == (1, 25)
 
     def test_design_matrix_matches_apply_basis(self):
+        # Each row equals the per-sample expansion (the oracle) and the
+        # expansion of that row alone.
         rng = np.random.default_rng(0)
         X = rng.normal(size=(7, 3))
         for cfg in (BasisConfig(), BasisConfig(kind="polynomial", degree=3)):
             M = design_matrix(X, cfg)
             for i in range(7):
-                np.testing.assert_array_equal(M[i], apply_basis(X[i], cfg))
+                np.testing.assert_array_equal(M[i], _oracle_apply_basis(X[i], cfg))
+                np.testing.assert_array_equal(M[i], design_matrix(X[i : i + 1], cfg)[0])
 
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidInputError):
-            apply_basis([np.nan])
+            design_matrix([[np.nan]])
 
     def test_bad_config_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -172,6 +198,56 @@ class TestSpecialFunctionOracles:
         np.testing.assert_allclose(got, gammaln(xs), rtol=1e-14, atol=1e-14)
 
 
+class TestSolvePrecision:
+    """The one eigendecomposition behind each fit iteration."""
+
+    @pytest.mark.parametrize(
+        "cond, rejected", [(1.01e12, True), (0.99e12, False)], ids=["1.01e12", "0.99e12"]
+    )
+    def test_condition_limit(self, cond, rejected):
+        # Same side of the 1e12 limit as the 2-norm condition number of an SVD.
+        for d, seed in ((2, 0), (5, 1), (9, 2)):
+            prec = spd_matrix(np.geomspace(1.0, cond, d), seed)
+            assert (np.linalg.cond(prec) > _CONDITION_LIMIT) == rejected
+            if rejected:
+                with pytest.raises(NumericalError, match="gate precision matrix is ill-conditioned"):
+                    _solve_precision(prec, "gate")
+            else:
+                cov, _ = _solve_precision(prec, "gate")
+                assert np.all(np.isfinite(cov))
+
+    @pytest.mark.parametrize(
+        "prec",
+        [
+            np.ones((3, 3)),
+            np.zeros((2, 2)),
+            spd_matrix([0.0, 1.0, 2.0, 3.0]),
+            np.diag([1.0, -1.0, 2.0]),
+            spd_matrix([-1e-3, 1.0, 5.0], seed=4),
+            np.full((2, 2), np.nan),
+        ],
+        ids=["ones", "zeros", "rank-3", "diag-indefinite", "indefinite", "nan"],
+    )
+    def test_singular_or_indefinite_rejected(self, prec):
+        with pytest.raises(NumericalError, match="expert precision matrix"):
+            _solve_precision(prec, "expert")
+
+    def test_matches_inv_and_slogdet_oracle(self):
+        rng = np.random.default_rng(13)
+        for k in range(200):
+            d = int(rng.integers(2, 13))
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            evals = scale * np.geomspace(1.0, 10.0 ** rng.uniform(0.0, 6.0), d)
+            prec = spd_matrix(evals, seed=k)
+            cov, logdet_cov = _solve_precision(prec, "gate")
+            inv = np.linalg.inv(prec)
+            assert np.max(np.abs(cov - inv)) <= 1e-9 * np.max(np.abs(inv)), k
+            np.testing.assert_array_equal(cov, cov.T)
+            sign, logdet_prec = np.linalg.slogdet(prec)
+            assert sign == 1.0
+            assert abs(logdet_cov + logdet_prec) <= 1e-9, k
+
+
 class TestFitVBLogistic:
     def test_symmetric_data_kills_bias(self):
         x = np.array([-2.0, -1.0, 1.0, 2.0])
@@ -217,6 +293,22 @@ class TestFitVBLogistic:
         assert len(post.bound_trace) >= 10
         assert bound_is_monotone(post.bound_trace)
 
+    def test_iteration_cap_warns(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(40, 3))
+        t = (X @ np.array([1.0, -2.0, 0.5]) + 0.3 * rng.normal(size=40) > 0).astype(float)
+        capped = fit_vb_logistic(design_matrix(X), t, max_iters=3)
+        assert len(capped.bound_trace) == 3
+        assert capped.warnings == ("not converged: stopped at the 3-iteration cap (tol 1e-06)",)
+        converged = fit_vb_logistic(design_matrix(X), t)
+        assert len(converged.bound_trace) < 200
+        assert converged.warnings == ()
+
+    def test_single_class_warning_comes_before_the_cap_warning(self):
+        post = fit_vb_logistic(design_matrix(np.arange(4.0)[:, None]), np.ones(4), max_iters=1)
+        assert len(post.warnings) == 2
+        assert "single-class" in post.warnings[0] and "cap" in post.warnings[1]
+
     def test_posterior_invariants(self):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(30, 2))
@@ -229,14 +321,14 @@ class TestFitVBLogistic:
 class TestPredictGate:
     def test_zero_mean_gives_half(self):
         post = GatePosterior(mean=np.zeros(3), covariance=np.eye(3))
-        assert predict_gate(post, [0.7, -1.3]) == 0.5
+        assert gate_probability_at(post, [0.7, -1.3]) == 0.5
 
     def test_zero_variance_limit_is_plain_sigmoid(self):
         mean = np.array([0.4, 1.1])
         post = GatePosterior(mean=mean, covariance=1e-9 * np.eye(2))
         x = np.array([2.0])
-        expected = expit(mean @ apply_basis(x))
-        assert predict_gate(post, x) == pytest.approx(expected, abs=1e-6)
+        expected = expit(mean @ design_matrix(x[None, :])[0])
+        assert gate_probability_at(post, x) == pytest.approx(expected, abs=1e-6)
 
     def test_output_in_unit_interval(self):
         rng = np.random.default_rng(5)
@@ -247,7 +339,7 @@ class TestPredictGate:
                 mean=rng.normal(scale=2, size=d),
                 covariance=A @ A.T + 0.1 * np.eye(d),
             )
-            p = predict_gate(post, rng.normal(size=d - 1))
+            p = gate_probability_at(post, rng.normal(size=d - 1))
             assert 0.0 < p < 1.0
 
     def test_monte_carlo_oracle(self):
@@ -260,12 +352,12 @@ class TestPredictGate:
         post = GatePosterior(mean=mean, covariance=cov)
         x = np.array([0.5, -0.2])
         draws = rng.multivariate_normal(mean, cov, size=100_000)
-        mc = expit(draws @ apply_basis(x)).mean()
-        assert predict_gate(post, x) == pytest.approx(mc, abs=0.02)
+        mc = expit(draws @ design_matrix(x[None, :])[0]).mean()
+        assert gate_probability_at(post, x) == pytest.approx(mc, abs=0.02)
 
     def test_complement_sums_to_one(self):
         post = GatePosterior(mean=np.array([1.0, 2.0]), covariance=np.eye(2))
-        p = predict_gate(post, [0.3])
+        p = gate_probability_at(post, [0.3])
         assert p + (1.0 - p) == 1.0
 
 
@@ -307,6 +399,17 @@ class TestFitVBLinear:
         assert len(post.bound_trace) >= 5
         assert bound_is_monotone(post.bound_trace)
 
+    def test_iteration_cap_warns(self):
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(30, 2))
+        y = X @ np.array([1.0, -1.0]) + rng.normal(0, 0.4, 30)
+        capped = fit_vb_linear(design_matrix(X), y, max_iters=2)
+        assert len(capped.bound_trace) == 2
+        assert capped.warnings == ("not converged: stopped at the 2-iteration cap (tol 1e-06)",)
+        converged = fit_vb_linear(design_matrix(X), y)
+        assert len(converged.bound_trace) < 200
+        assert converged.warnings == ()
+
     def test_empty_and_non_finite_rejected(self):
         with pytest.raises(InvalidInputError):
             fit_vb_linear(np.empty((0, 2)), np.empty(0))
@@ -323,41 +426,41 @@ class TestPredictExpert:
             mean=rng.normal(size=3), covariance=cov, noise_precision=4.0
         )
         x = rng.normal(size=2)
-        phi = apply_basis(x)
-        pred = predict_expert(post, x)
-        assert pred.mean == pytest.approx(float(post.mean @ phi), abs=1e-12)
+        phi = design_matrix(x[None, :])[0]
+        mean, variance = expert_prediction_at(post, x)
+        assert mean == pytest.approx(float(post.mean @ phi), abs=1e-12)
         direct = 0.25 + float(phi @ cov @ phi)
-        assert pred.variance == pytest.approx(direct, abs=1e-12)
-        assert pred.variance - 1.0 / post.noise_precision >= 0.0
+        assert variance == pytest.approx(direct, abs=1e-12)
+        assert variance - 1.0 / post.noise_precision >= 0.0
 
     def test_tiny_covariance_variance_tends_to_noise(self):
         post = ExpertPosterior(
             mean=np.array([1.0, 2.0]), covariance=1e-14 * np.eye(2), noise_precision=2.0
         )
-        pred = predict_expert(post, [3.0])
-        assert pred.variance == pytest.approx(0.5, rel=1e-10)
+        _, variance = expert_prediction_at(post, [3.0])
+        assert variance == pytest.approx(0.5, rel=1e-10)
 
     def test_quadratic_form_scaling(self):
         # With no weight on the bias row/column, doubling the input scales
         # the covariance contribution by 4.
         cov = np.diag([1e-12, 2.0])
         post = ExpertPosterior(mean=np.zeros(2), covariance=cov, noise_precision=1.0)
-        v1 = predict_expert(post, [1.0]).variance - 1.0
-        v2 = predict_expert(post, [2.0]).variance - 1.0
+        v1 = expert_prediction_at(post, [1.0])[1] - 1.0
+        v2 = expert_prediction_at(post, [2.0])[1] - 1.0
         assert v2 == pytest.approx(4.0 * v1, rel=1e-9)
 
     def test_extrapolation_grows_variance(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
         post = fit_vb_linear(design_matrix(x[:, None]), 2.0 * x)
-        far = predict_expert(post, [10.0])
-        near = predict_expert(post, [2.5])
-        assert far.mean == pytest.approx(20.0, abs=0.2)
-        assert far.variance > near.variance
+        far_mean, far_variance = expert_prediction_at(post, [10.0])
+        _, near_variance = expert_prediction_at(post, [2.5])
+        assert far_mean == pytest.approx(20.0, abs=0.2)
+        assert far_variance > near_variance
 
     def test_dimension_mismatch_names_dims(self):
         post = ExpertPosterior(mean=np.zeros(3), covariance=np.eye(3), noise_precision=1.0)
         with pytest.raises(InvalidInputError, match="dimension 4 .* 3"):
-            predict_expert(post, [1.0, 2.0, 3.0])
+            expert_prediction_at(post, [1.0, 2.0, 3.0])
 
 
 class TestMonteCarloAgreementSweep:
@@ -379,4 +482,4 @@ class TestMonteCarloAgreementSweep:
             post = GatePosterior(mean=mean, covariance=cov)
             draws = rng.multivariate_normal(mean, cov, size=100_000)
             mc = expit(draws @ phi).mean()
-            assert predict_gate(post, x) == pytest.approx(mc, abs=0.02)
+            assert gate_probability_at(post, x) == pytest.approx(mc, abs=0.02)

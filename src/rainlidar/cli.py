@@ -53,7 +53,7 @@ from .synth import (
     SensorSpec,
     default_profile,
     disdrometer_series,
-    session_scans,
+    write_session_scans,
 )
 from .vblearn import BasisConfig
 
@@ -94,14 +94,6 @@ def cmd_synth(args) -> int:
     else:
         profile = RainProfile(segments=default_profile().segments, sensor=sensor)
     disturbance = None if args.no_disturbance else DisturbanceParams()
-    # What generate_session returns, with the scans made as they are written.
-    scans = session_scans(
-        profile,
-        box=CropBox(args.box),
-        seed=args.seed,
-        fluctuation=args.fluctuation,
-        disturbance=disturbance,
-    )
     series = disdrometer_series(
         profile,
         seed=args.seed,
@@ -109,7 +101,15 @@ def cmd_synth(args) -> int:
         bias=args.bias,
         fluctuation=args.fluctuation,
     )
-    n_scans = rio.write_scans(args.out_scans, scans)
+    # What generate_session returns, with the scans made as they are written.
+    n_scans = write_session_scans(
+        args.out_scans,
+        profile,
+        box=CropBox(args.box),
+        seed=args.seed,
+        fluctuation=args.fluctuation,
+        disturbance=disturbance,
+    )
     rio.write_disdrometer(args.out_rain, series)
     print(
         f"synth: {n_scans} scans over {profile.total_duration:.0f}s -> {args.out_scans}; "
@@ -398,6 +398,9 @@ def main(argv=None) -> int:
         parser.print_help()
         return EXIT_USAGE
     try:
+        # numpy seeds its generators from non-negative integers only
+        if getattr(args, "seed", 0) < 0:
+            raise InvalidInputError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

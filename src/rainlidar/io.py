@@ -11,10 +11,14 @@ are written from any iterable of scans and read as
 :class:`~rainlidar.features.ScanTable` blocks of whole lines, both a block
 of lines at a time, so neither holds more than a block of text;
 :func:`read_scans` joins the blocks into one table, every point in one
-buffer. A block of single-spaced ASCII lines with finite values is parsed
-by one C-level ``np.fromstring`` pass; any other block goes line by line
-through ``int`` and ``float``, which decide what a malformed file is: its
-first bad line is reported as ``path:line:``.
+buffer. :func:`rainlidar.synth.write_session_scans` writes a synthetic
+session's scans, with a second process where two CPUs are available; it
+formats each block with :func:`_scan_block_text`, as :func:`write_scans`
+does, so this module alone owns the line layout and both give the same
+bytes for the same scans. A block of single-spaced ASCII lines with
+finite values is parsed by one C-level ``np.fromstring`` pass; any other
+block goes line by line through ``int`` and ``float``, which decide what a
+malformed file is: its first bad line is reported as ``path:line:``.
 
 Disdrometer tracks: CSV with mandatory header
 ``timestamp_s,rate_mm_h,segment_id``.
@@ -105,6 +109,24 @@ SCAN_BLOCK_BYTES = 1 << 19
 _MAX_VALUE_BYTES = 25
 
 
+def _scan_block_text(frame_ids, timestamps, counts, points: np.ndarray) -> str:
+    """The lines of a block of scans, each ended by a newline.
+
+    Scan i has the int ``frame_ids[i]``, the float ``timestamps[i]`` and
+    the next ``counts[i]`` rows of the (N, 4) ``points`` (x, y, z,
+    intensity); a line is the id, the timestamp and the point values in
+    row order, the floats rendered by ``repr``.
+    """
+    values = points.ravel().tolist()
+    lines, at = [], 0
+    for frame_id, timestamp, count in zip(frame_ids, timestamps, counts):
+        stop = at + 4 * count
+        lines.append(" ".join([str(frame_id), repr(timestamp), *map(repr, values[at:stop])]))
+        at = stop
+    lines.append("")
+    return "\n".join(lines)
+
+
 def write_scans(path, scans) -> int:
     """Write an iterable of :class:`Scan` (a list, a table, a generator) to a
     scan file, atomically; return the number of scans written.
@@ -125,14 +147,15 @@ def write_scans(path, scans) -> int:
                     break
             if not block:
                 return n_scans
-            lines = []
-            for scan in block:
-                values = np.column_stack((scan.xyz, scan.intensity)).ravel().tolist()
-                lines.append(
-                    " ".join([str(int(scan.frame_id)), repr(float(scan.timestamp)), *map(repr, values)])
+            points = np.concatenate([np.column_stack((scan.xyz, scan.intensity)) for scan in block])
+            handle.write(
+                _scan_block_text(
+                    [int(scan.frame_id) for scan in block],
+                    [float(scan.timestamp) for scan in block],
+                    [scan.n_points for scan in block],
+                    points,
                 )
-            lines.append("")
-            handle.write("\n".join(lines))
+            )
             n_scans += len(block)
 
 

@@ -25,6 +25,7 @@ from .errors import InvalidInputError, TrainingError
 from .features import FeatureStats, standardize_apply, standardize_fit
 from .vblearn import (
     BasisConfig,
+    _check_max_iters,
     design_matrix,
     expert_predictions,
     fit_vb_linear,
@@ -224,6 +225,9 @@ class TrainConfig:
     max_iters: int = 200
     tol: float = 1e-6
     record_assignments: bool = False
+
+    def __post_init__(self):
+        _check_max_iters(self.max_iters)
 
     def snapshot(self) -> dict:
         return {

@@ -21,12 +21,15 @@ output.
 from __future__ import annotations
 
 import math
+import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .features import CropBox, Scan
+from .features import CropBox, Scan, _check_points
+from .io import _scan_block_text, atomic_open
 from .pipeline import RainSeries
 
 # Fixed sub-stream tags fanned out from the session seed.
@@ -273,6 +276,13 @@ def generate_scan(
     arguments let a session overlay disturbance bursts; with the defaults
     the scan follows the regime model exactly.
     """
+    points = _draw_points(rate, params, box, seed, count_scale, intensity_scale, extra_cluster)
+    return Scan(xyz=points[:, :3], intensity=points[:, 3], timestamp=timestamp, frame_id=frame_id)
+
+
+def _draw_points(rate, params, box, seed, count_scale, intensity_scale, extra_cluster) -> np.ndarray:
+    """The points of :func:`generate_scan` as one (n, 4) array of x, y, z and
+    intensity rows."""
     if rate < 0:
         raise InvalidInputError("rainfall rate must be non-negative")
     rng = np.random.default_rng(seed)
@@ -283,21 +293,21 @@ def generate_scan(
     cluster_frac = min(regime.cluster_fraction_at(rate) + extra_cluster, 0.95)
     n_cluster = int(rng.binomial(n, cluster_frac)) if n else 0
     n_background = n - n_cluster
-    parts = []
+    points = np.empty((n, 4))
     if n_cluster:
         n_clumps = max(1, n_cluster // 20)
         centers = rng.uniform(-h, h, (n_clumps, 3))
         member = rng.integers(0, n_clumps, n_cluster)
         clustered = centers[member] + rng.normal(0.0, regime.cluster_scale, (n_cluster, 3))
-        parts.append(np.clip(clustered, -h, h))
+        np.clip(clustered, -h, h, out=points[:n_cluster, :3])
     if n_background:
         background = rng.uniform(-h, h, (n_background, 3))
         pull = regime.radial_pull_at(rate) * rng.random(n_background)
-        parts.append(background * (1.0 - pull)[:, None])
-    xyz = np.vstack(parts) if parts else np.zeros((0, 3))
-    mean_intensity = regime.expected_intensity(rate) * intensity_scale
-    intensity = rng.gamma(4.0, mean_intensity / 4.0, n) if n else np.zeros(0)
-    return Scan(xyz=xyz, intensity=intensity, timestamp=timestamp, frame_id=frame_id)
+        np.multiply(background, (1.0 - pull)[:, None], out=points[n_cluster:, :3])
+    if n:
+        mean_intensity = regime.expected_intensity(rate) * intensity_scale
+        points[:, 3] = rng.gamma(4.0, mean_intensity / 4.0, n)
+    return points
 
 
 def _fluctuation(times: np.ndarray, amplitude: float, seed: int) -> np.ndarray:
@@ -370,38 +380,168 @@ def session_scans(
     raises before the first scan is asked for; each scan is generated when
     the iterator reaches it.
     """
-    params = params or default_regime_params()
-    total = profile.total_duration
-    frame_rate = profile.sensor.frame_rate
-    n_frames = int(round(total * frame_rate))
-    frame_times = np.arange(n_frames) / frame_rate
-    base = np.array([profile_rate(profile, t) for t in frame_times])
-    rates = np.clip(base * (1.0 + _fluctuation(frame_times, fluctuation, seed)), 0.0, None)
-    bursts = _draw_bursts(disturbance, total, seed) if disturbance else []
+    frames = _SessionFrames(profile, params, box, seed, fluctuation, disturbance)
+    return (frames.scan(j) for j in range(len(frames.times)))
 
-    def scans():
-        for j, t in enumerate(frame_times.tolist()):
-            count_scale = intensity_scale = 1.0
-            extra_cluster = 0.0
-            for burst in bursts:
-                if burst.start <= t < burst.start + burst.duration:
-                    count_scale = burst.count_scale
-                    intensity_scale = burst.intensity_scale
-                    extra_cluster = burst.extra_cluster
-                    break
-            yield generate_scan(
-                float(rates[j]),
-                params,
-                box,
-                seed=[_SCAN_STREAM, int(seed), j],
-                timestamp=t,
-                frame_id=j,
-                count_scale=count_scale,
-                intensity_scale=intensity_scale,
-                extra_cluster=extra_cluster,
-            )
 
-    return scans()
+class _SessionFrames:
+    """The frames of a session, set up once: their times, true rates and
+    disturbance bursts. Frame j's scan draws from its own stream, keyed by
+    the session seed and j alone."""
+
+    def __init__(self, profile, params, box, seed, fluctuation, disturbance):
+        self.params = params or default_regime_params()
+        self.box = box
+        self.seed = int(seed)
+        total = profile.total_duration
+        frame_rate = profile.sensor.frame_rate
+        n_frames = int(round(total * frame_rate))
+        frame_times = np.arange(n_frames) / frame_rate
+        base = np.array([profile_rate(profile, t) for t in frame_times])
+        rates = np.clip(base * (1.0 + _fluctuation(frame_times, fluctuation, seed)), 0.0, None)
+        self.times = frame_times.tolist()
+        self.rates = rates.tolist()
+        self.bursts = _draw_bursts(disturbance, total, seed) if disturbance else []
+
+    def _draw_args(self, j) -> tuple:
+        """The :func:`_draw_points` arguments of frame j: its rate, the
+        session's params and box, its seed, and the scales of the first
+        burst that covers it, if any."""
+        t = self.times[j]
+        for burst in self.bursts:
+            if burst.start <= t < burst.start + burst.duration:
+                overlay = (burst.count_scale, burst.intensity_scale, burst.extra_cluster)
+                break
+        else:
+            overlay = (1.0, 1.0, 0.0)
+        return (self.rates[j], self.params, self.box, [_SCAN_STREAM, self.seed, j], *overlay)
+
+    def scan(self, j) -> Scan:
+        rate, params, box, seed, *overlay = self._draw_args(j)
+        return generate_scan(rate, params, box, seed, self.times[j], j, *overlay)
+
+    def block_text(self, start: int, stop: int) -> str:
+        """The scan lines of frames ``start:stop``, each ended by a newline.
+
+        The block's points are checked as :class:`Scan` checks a scan's,
+        all at once.
+        """
+        drawn = [_draw_points(*self._draw_args(j)) for j in range(start, stop)]
+        points = np.concatenate(drawn)
+        _check_points(points[:, :3], points[:, 3])
+        return _scan_block_text(range(start, stop), self.times[start:stop], map(len, drawn), points)
+
+
+# Frames per block of write_session_scans. A block of 100 frames is about
+# 0.4 MB of text at 10 Hz; much smaller blocks cost more in hand-offs
+# between the processes, larger ones only hold more.
+SESSION_BLOCK_FRAMES = 100
+
+# The worker's pipe holds about one 10 Hz block (0.37 MB median, 0.68 MB
+# at most on the default session); a default pipe holds 64 KiB.
+_PIPE_BYTES = 1 << 19
+
+
+def write_session_scans(
+    path,
+    profile: RainProfile,
+    box: CropBox = CropBox(10.0),
+    seed: int = 0,
+    fluctuation: float = 0.12,
+    disturbance: DisturbanceParams | None = DisturbanceParams(),
+) -> int:
+    """Write the scans of :func:`session_scans`, with the default regime
+    params, to a scan file, atomically; return the number of scans written.
+
+    The file holds the bytes of ``io.write_scans(path, session_scans(...))``.
+    The session is set up first, so bad arguments raise before any output.
+    The frames are cut into blocks of SESSION_BLOCK_FRAMES, which this
+    process writes in order. When it may run on two or more CPUs, a forked
+    worker makes the odd blocks while this process makes the even ones.
+    Each scan draws from a stream keyed by its frame index, so the bytes do
+    not depend on the worker or on where the blocks are cut.
+    """
+    frames = _SessionFrames(profile, None, box, seed, fluctuation, disturbance)
+    n_frames = len(frames.times)
+    starts = range(0, n_frames, SESSION_BLOCK_FRAMES)
+
+    def block(start):
+        return frames.block_text(start, min(start + SESSION_BLOCK_FRAMES, n_frames))
+
+    with atomic_open(path) as handle, _odd_block_worker(block, starts) as receive:
+        for k, start in enumerate(starts):
+            handle.write(receive() if receive and k % 2 else block(start))
+    return n_frames
+
+
+def _worker_count() -> int:
+    """2 when this process may run on two or more CPUs and can fork, else 1."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return 2 if len(os.sched_getaffinity(0)) >= 2 else 1
+
+
+@contextmanager
+def _odd_block_worker(block, starts):
+    """Yield a function that returns the next odd block of ``starts``, made
+    by a forked worker, or None where a worker does not help (one CPU, no
+    fork, a single block).
+
+    The worker sends each block's text through a pipe widened to hold
+    about one block, so it can start its next block before this process
+    takes the last one; a send waits while the pipe is full, so at most
+    one block is in flight. An error in the worker is raised by the
+    function. On any error the worker is killed, and it is joined on every
+    path.
+    """
+    if len(starts) < 2 or _worker_count() < 2:
+        yield None
+        return
+    import fcntl
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    # Linux only; elsewhere the pipe keeps its size and the worker waits more.
+    with suppress(AttributeError, OSError):
+        fcntl.fcntl(sender.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    worker = context.Process(target=_send_blocks, args=(block, starts[1::2], sender), daemon=True)
+    worker.start()
+    sender.close()
+
+    def receive():
+        try:
+            item = receiver.recv()
+        except EOFError:
+            worker.join()
+            raise ChildProcessError(f"scan worker exited with code {worker.exitcode}") from None
+        if isinstance(item, BaseException):
+            raise item
+        return item
+
+    try:
+        yield receive
+    except BaseException:
+        worker.kill()
+        raise
+    finally:
+        worker.join()
+        receiver.close()
+    if worker.exitcode:
+        raise ChildProcessError(f"scan worker exited with code {worker.exitcode}")
+
+
+def _send_blocks(block, starts, sender) -> None:
+    """Worker body: send the text of each block in ``starts``, or the error that stopped it."""
+    import signal
+
+    # An interrupt reaches the parent too, which kills the worker.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        for start in starts:
+            sender.send(block(start))
+    except Exception as exc:
+        sender.send(exc)
 
 
 def disdrometer_series(

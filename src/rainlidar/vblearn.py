@@ -244,6 +244,12 @@ def _converged(bound: float, prev_bound: float, tol: float) -> bool:
     )
 
 
+def _check_max_iters(max_iters: int) -> None:
+    """A fit makes at least one iteration: its result is the posterior of one."""
+    if max_iters < 1:
+        raise InvalidInputError(f"max_iters must be at least 1, got {max_iters}")
+
+
 def _cap_warning(max_iters: int, tol: float) -> str:
     return f"not converged: stopped at the {max_iters}-iteration cap (tol {tol:g})"
 
@@ -286,6 +292,7 @@ def fit_vb_logistic(
         raise InvalidInputError("labels must be binary 0/1")
     if not prior_precision > 0:
         raise InvalidInputError("prior precision must be positive")
+    _check_max_iters(max_iters)
 
     flags = ()
     if np.unique(t).size < 2:
@@ -405,6 +412,7 @@ def fit_vb_linear(
         raise InvalidInputError("non-finite training values")
     if not (a0 > 0 and b0 > 0 and beta_init > 0):
         raise InvalidInputError("prior hyperparameters must be positive")
+    _check_max_iters(max_iters)
 
     n, d = Phi.shape
     eye = np.eye(d)

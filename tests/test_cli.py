@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import rainlidar
-from rainlidar import features, pipeline
+from rainlidar import features, pipeline, synth
 from rainlidar import io as rio
 from rainlidar.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from rainlidar.errors import InvalidInputError
 from rainlidar.features import CropBox, Scan, ScanTable, WindowSample
 from rainlidar.moe import infer_batch
 from rainlidar.pipeline import Dataset
@@ -84,12 +85,12 @@ class TestSynth:
         rio.write_disdrometer(ref_rain, series)
         out_scans, out_rain = tmp_path / "scans.txt", tmp_path / "rain.csv"
         # many blocks, each written as soon as its scans are made
-        monkeypatch.setattr(rio, "SCAN_BLOCK_BYTES", 1 << 12)
+        monkeypatch.setattr(synth, "SESSION_BLOCK_FRAMES", 7)
         assert main([
             "synth", "--out-scans", str(out_scans), "--out-rain", str(out_rain),
             "--segments", "300:7:10,300:45:10", "--frame-rate", "2", "--seed", "5",
         ]) == EXIT_OK
-        assert out_scans.stat().st_size > 50 * rio.SCAN_BLOCK_BYTES
+        assert len(scans) > 50 * synth.SESSION_BLOCK_FRAMES
         assert out_scans.read_bytes() == ref_scans.read_bytes()
         assert out_rain.read_bytes() == ref_rain.read_bytes()
         # the counts line as the benchmark's checks parse it
@@ -97,6 +98,153 @@ class TestSynth:
         m = re.search(r"synth: (?P<scans>\d+) scans over .*; (?P<measurements>\d+) disdrometer", stdout)
         assert m, stdout
         assert (int(m["scans"]), int(m["measurements"])) == (len(scans), len(series)) == (1200, 60)
+
+
+def assert_no_child_process():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def use_cpus(monkeypatch, n):
+    """Let the session writer see n CPUs, so it runs with 1 or 2 processes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+class TestSessionWriter:
+    """synth writes a session with one process, or with a forked worker
+    that makes every other block; the file is the same."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize(
+        "segments, frame_rate, seed, disturbance",
+        [
+            # 303 frames: three full blocks and a last one of three frames
+            ("20.3:7:5,10:30:2", 10.0, 2, True),
+            ("20.3:7:5,10:30:2", 10.0, 2, False),
+            # 60 frames: shorter than one block
+            ("6:7:2", 10.0, 4, True),
+            # 1 Hz, 505 frames, with disturbance bursts
+            ("250:7:10,255:45:10", 1.0, 5, True),
+        ],
+        ids=["303-frames", "no-disturbance", "one-block", "1hz"],
+    )
+    def test_file_equals_write_scans_of_generate_session(
+        self, tmp_path, monkeypatch, cpus, segments, frame_rate, seed, disturbance
+    ):
+        use_cpus(monkeypatch, cpus)
+        worker_ran = tmp_path / "worker-ran"
+        send_blocks = synth._send_blocks
+
+        def spied_send_blocks(*args):
+            worker_ran.touch()
+            send_blocks(*args)
+
+        monkeypatch.setattr(synth, "_send_blocks", spied_send_blocks)
+        profile = RainProfile(
+            tuple(SegmentSpec(*map(float, s.split(":"))) for s in segments.split(",")),
+            SensorSpec(frame_rate=frame_rate),
+        )
+        disturbance_params = DisturbanceParams() if disturbance else None
+        if frame_rate == 1.0:
+            assert _draw_bursts(DisturbanceParams(), profile.total_duration, seed)
+        scans, series = generate_session(profile, seed=seed, disturbance=disturbance_params)
+        ref_scans, ref_rain = tmp_path / "ref_scans.txt", tmp_path / "ref_rain.csv"
+        rio.write_scans(ref_scans, scans)
+        rio.write_disdrometer(ref_rain, series)
+        out_scans, out_rain = tmp_path / "scans.txt", tmp_path / "rain.csv"
+        flags = [] if disturbance else ["--no-disturbance"]
+        assert main([
+            "synth", "--out-scans", str(out_scans), "--out-rain", str(out_rain),
+            "--segments", segments, "--frame-rate", str(frame_rate), "--seed", str(seed), *flags,
+        ]) == EXIT_OK
+        assert out_scans.read_bytes() == ref_scans.read_bytes()
+        assert out_rain.read_bytes() == ref_rain.read_bytes()
+        several_blocks = len(scans) > synth.SESSION_BLOCK_FRAMES
+        assert worker_ran.exists() == (cpus == 2 and several_blocks)
+        assert_no_child_process()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["ref_scans.txt", "ref_rain.csv", "scans.txt", "rain.csv"]
+            + (["worker-ran"] if worker_ran.exists() else [])
+        )
+
+    def test_bytes_do_not_depend_on_the_block_size(self, tmp_path, monkeypatch):
+        profile = RainProfile((SegmentSpec(40.0, 30.0, 5.0),))
+        files = []
+        for frames in (1, 13, 100, 1000):
+            monkeypatch.setattr(synth, "SESSION_BLOCK_FRAMES", frames)
+            path = tmp_path / f"scans-{frames}.txt"
+            assert synth.write_session_scans(path, profile, seed=3) == 400
+            files.append(path.read_bytes())
+        assert len(files[0]) > 0 and files.count(files[0]) == len(files)
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_missing_directory_is_io_error(self, tmp_path, monkeypatch, cpus):
+        use_cpus(monkeypatch, cpus)
+        code = main([
+            "synth", "--out-scans", str(tmp_path / "missing" / "scans.txt"),
+            "--out-rain", str(tmp_path / "rain.csv"), "--segments", "30:7:5",
+        ])
+        assert code == EXIT_IO
+        assert_no_child_process()
+        assert list(tmp_path.iterdir()) == []
+
+    @staticmethod
+    def fail_in_block(monkeypatch, index, in_worker, failure):
+        """Make block ``index`` call ``failure()`` in the worker or in this process."""
+        block_text = synth._SessionFrames.block_text
+        parent = os.getpid()
+
+        def failing_block_text(self, start, stop):
+            if start == index * synth.SESSION_BLOCK_FRAMES and (os.getpid() != parent) == in_worker:
+                failure()
+            return block_text(self, start, stop)
+
+        monkeypatch.setattr(synth._SessionFrames, "block_text", failing_block_text)
+
+    def synth_into(self, tmp_path):
+        return main([
+            "synth", "--out-scans", str(tmp_path / "scans.txt"),
+            "--out-rain", str(tmp_path / "rain.csv"), "--segments", "120:7:5", "--seed", "3",
+        ])
+
+    def raise_invalid(self):
+        raise InvalidInputError("injected")
+
+    def test_error_in_a_worker_block_fails_the_command(self, tmp_path, monkeypatch, capsys):
+        use_cpus(monkeypatch, 2)
+        self.fail_in_block(monkeypatch, 3, True, self.raise_invalid)
+        assert self.synth_into(tmp_path) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: injected\n"
+        assert_no_child_process()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_worker_that_dies_fails_the_command(self, tmp_path, monkeypatch, capsys):
+        use_cpus(monkeypatch, 2)
+        self.fail_in_block(monkeypatch, 1, True, lambda: os._exit(7))
+        assert self.synth_into(tmp_path) == EXIT_IO
+        assert "scan worker exited with code 7" in capsys.readouterr().err
+        assert_no_child_process()
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("failure", [InvalidInputError, KeyboardInterrupt])
+    def test_error_in_this_process_kills_the_worker(self, tmp_path, monkeypatch, failure):
+        use_cpus(monkeypatch, 2)
+
+        def fail():
+            raise failure("injected")
+
+        # the first block, so the worker still has more blocks to send
+        # than its pipe holds
+        self.fail_in_block(monkeypatch, 0, False, fail)
+        if failure is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                self.synth_into(tmp_path)
+        else:
+            assert self.synth_into(tmp_path) == EXIT_USAGE
+        assert_no_child_process()
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFeaturize:
@@ -581,6 +729,19 @@ class TestExitCodes:
             "--dataset", str(tmp_path / "nope.csv"),
         ])
         assert code == EXIT_IO
+
+    @pytest.mark.parametrize("command", ["synth", "train", "bench"])
+    def test_negative_seed_is_usage_before_any_output(self, workspace, tmp_path, capsys, command):
+        flags = {
+            "synth": ["--out-scans", str(tmp_path / "scans.txt"), "--out-rain", str(tmp_path / "rain.csv")],
+            "train": ["--dataset", str(workspace["dataset"]), "--out", str(tmp_path / "model.json")],
+            "bench": ["--model", str(workspace["model"]), "--reps", "1", "--feature-reps", "1"],
+        }[command]
+        assert main([command, *flags, "--seed", "-1"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --seed must be a non-negative integer, got -1\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_no_command_prints_help(self, capsys):
         assert main([]) == EXIT_USAGE

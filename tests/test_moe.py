@@ -231,6 +231,11 @@ class TestTrain:
         ]
         assert [e.warnings for e in capped.experts] == [(cap,), (cap,)]
 
+    @pytest.mark.parametrize("max_iters", [0, -3])
+    def test_config_rejects_iteration_cap_below_one(self, max_iters):
+        with pytest.raises(InvalidInputError, match="max_iters must be at least 1"):
+            TrainConfig(max_iters=max_iters)
+
     def test_class_balance_exact_parity(self):
         targets = [5.0] * 10 + [30.0] * 3
         samples = make_samples(targets)

@@ -304,6 +304,12 @@ class TestFitVBLogistic:
         assert len(converged.bound_trace) < 200
         assert converged.warnings == ()
 
+    @pytest.mark.parametrize("max_iters", [0, -3])
+    def test_no_iteration_cap_below_one(self, max_iters):
+        t = np.array([0.0, 1.0, 1.0, 0.0])
+        with pytest.raises(InvalidInputError, match="max_iters must be at least 1"):
+            fit_vb_logistic(design_matrix(np.arange(4.0)[:, None]), t, max_iters=max_iters)
+
     def test_single_class_warning_comes_before_the_cap_warning(self):
         post = fit_vb_logistic(design_matrix(np.arange(4.0)[:, None]), np.ones(4), max_iters=1)
         assert len(post.warnings) == 2
@@ -409,6 +415,11 @@ class TestFitVBLinear:
         converged = fit_vb_linear(design_matrix(X), y)
         assert len(converged.bound_trace) < 200
         assert converged.warnings == ()
+
+    @pytest.mark.parametrize("max_iters", [0, -3])
+    def test_no_iteration_cap_below_one(self, max_iters):
+        with pytest.raises(InvalidInputError, match="max_iters must be at least 1"):
+            fit_vb_linear(design_matrix(np.arange(4.0)[:, None]), np.arange(4.0), max_iters=max_iters)
 
     def test_empty_and_non_finite_rejected(self):
         with pytest.raises(InvalidInputError):

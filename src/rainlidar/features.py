@@ -220,7 +220,7 @@ class CropBox:
 
     def __post_init__(self):
         if not (np.isfinite(self.half_extent) and self.half_extent > 0):
-            raise InvalidInputError("crop box half extent must be positive")
+            raise InvalidInputError("crop box half extent must be finite and positive")
 
 
 @dataclass(frozen=True)

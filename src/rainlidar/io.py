@@ -79,11 +79,16 @@ DISDRO_HEADER = ["timestamp_s", "rate_mm_h", "segment_id"]
 def atomic_open(path):
     """A text handle on a temp file in ``path``'s directory, renamed to ``path``
     when the block ends; if the block raises, the temp file is removed and
-    an existing ``path`` is left as it was."""
+    an existing ``path`` is left as it was. The file gets the mode that
+    ``open(path, "w")`` gives a new file, 0o666 less the umask."""
     path = Path(path)
     directory = path.parent if str(path.parent) else Path(".")
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=path.name + ".", suffix=".tmp")
     try:
+        # mkstemp makes the file owner-only; the umask is read by setting it.
+        umask = os.umask(0o077)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w") as handle:
             yield handle
         os.replace(tmp, path)

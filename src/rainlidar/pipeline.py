@@ -17,6 +17,7 @@ let go, so memory does not grow with the recording.
 
 from __future__ import annotations
 
+import math
 import warnings as _warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -24,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import features
 from .errors import InvalidInputError
 from .features import (
     CropBox,
@@ -224,19 +224,18 @@ class WindowStream:
     two scans are skipped, and with ``series`` so are windows without a
     target; ``counts`` counts scans, windows and skips.
 
-    push and close return ``(start, end, target, vector)`` for kept windows
-    in time order (target None without ``series``). The scans of kept
-    windows, and no others, are featurized once each by
-    :func:`scan_feature_rows`, in batches of about _FILL_BATCH_POINTS
-    points, so that Prim's lockstep chunks stay dense; a window's vector is
-    reduced from its scans' rows once they are filled, so vectors come a
-    batch at a time.
+    push and close return ``(start, end, target, vector)`` for the kept
+    windows that they decide, in time order (target None without
+    ``series``). A window is decided, featurized and returned by the first
+    push whose last scan is at or past its end (less EDGE_TOLERANCE), or
+    else by close. The scans of kept windows, and no others, are
+    featurized once each, by one :func:`scan_feature_rows` call per push,
+    which bounds its memory by taking the scans a batch at a time.
 
-    The stream holds the scans that an undecided window can hold, the
-    scans queued for the next batch, the rows of the scans of kept windows
-    and (unless ``end_anchored``) every timestamp, at 8 bytes a scan.
-    ``peak_scans`` and ``peak_points`` are the most scans and points held
-    at once.
+    The stream holds the scans that an undecided window can hold, their
+    per-scan rows and (unless ``end_anchored``) every timestamp, at 8
+    bytes a scan. ``peak_scans`` and ``peak_points`` are the most scans and
+    points held at once.
 
     A scan earlier than the one before it is recorded, after which push
     ignores its scans and close raises InvalidInputError: a reader can go
@@ -251,28 +250,23 @@ class WindowStream:
         series: RainSeries | None = None,
         end_anchored: bool = False,
     ):
-        if not (duration > 0 and period > 0):
-            raise InvalidInputError("window duration and period must be positive")
+        if not (0 < duration < math.inf and 0 < period < math.inf):
+            raise InvalidInputError("window duration and period must be finite and positive")
         self.box, self.duration, self.period = box, float(duration), float(period)
         self.series, self.end_anchored = series, end_anchored
         self.counts = WindowingResult(samples=[])
         self.peak_scans = self.peak_points = 0
         self._t0 = self._last = None
         self._times = []  # every timestamp, for the median gap (not end_anchored)
-        self._open = ScanTable.from_scans([])  # scans from global index _base on
-        self._base = 0
-        self._k = 0  # the first undecided window
-        self._queue, self._queued_scans, self._queued_points = [], 0, 0
-        # Global indices and rows of the scans of kept windows, from the first
-        # scan that a pending or undecided window holds; the queued scans are
-        # its tail, their rows not yet filled.
-        self._need = np.empty(0, dtype=np.intp)
+        self._open = ScanTable.from_scans([])  # the scans an undecided window can hold
+        # Rows of the first open scans, to the end of the last kept window; a
+        # row that no kept window holds stays NaN.
         self._rows = np.empty((0, 4))
-        self._pending = []  # kept windows not yet reduced: (start, end, target, i0, i1)
+        self._k = 0  # the first undecided window
         self._unordered = False
 
     def push(self, scans) -> list:
-        """Add the next scans; return the kept windows whose vectors are ready."""
+        """Add the next scans; return the kept windows that they decide."""
         table = ScanTable.from_scans(scans)
         if self._unordered or not table:
             return []
@@ -287,11 +281,12 @@ class WindowStream:
         if not self.end_anchored:
             self._times.append(times)
         self._open = ScanTable.concat([self._open, table])
-        self._note_held()
+        self.peak_scans = max(self.peak_scans, len(self._open))
+        self.peak_points = max(self.peak_points, int(self._open.offsets[-1]))
         return self._decide(self._last, final=False)
 
     def close(self) -> list:
-        """End the stream: decide the last windows and return the rest of the kept ones."""
+        """End the stream: decide the last windows and return the kept ones."""
         if self._unordered:
             raise InvalidInputError("scans must be time-ordered")
         if self._t0 is None:
@@ -300,7 +295,7 @@ class WindowStream:
         if not self.end_anchored:
             gaps = np.diff(np.concatenate(self._times))
             limit += float(np.median(gaps)) if gaps.size else 0.0
-        return self._decide(limit, final=True) + self._fill()
+        return self._decide(limit, final=True)
 
     def _bounds(self, k: int):
         if self.end_anchored:
@@ -310,12 +305,17 @@ class WindowStream:
         return start, start + self.duration
 
     def _decide(self, limit: float, final: bool) -> list:
-        """Decide the windows that end by ``limit`` and hold no scan to come.
+        """Decide the windows that end by ``limit`` and hold no scan to come;
+        return the kept ones with their vectors.
 
         Before close, ``limit`` is the last scan time, at most the final
         limit, so a window decided early is one that the final limit keeps.
+        The kept windows' scans that have no row yet are filled by one
+        :func:`scan_feature_rows` call, before the scans that no undecided
+        window holds are let go.
         """
-        out = []
+        kept, new = [], []
+        filled = self._rows.shape[0]
         last = limit + 1e-9
         # One index past the last window that can fit; the end test trims it.
         n_windows = max(int((last - self._t0 - self.duration) // self.period) + 2, 0)
@@ -336,55 +336,23 @@ class WindowStream:
             if self.series is not None and target is None:
                 self.counts.n_skipped_no_target += 1
                 continue
-            out += self._keep(start, end, target, self._base + lo, self._base + hi)
+            kept.append((start, end, target, lo, hi))
+            # Windows come in time order, so the scans before ``filled``
+            # that this one holds are an earlier kept window's, with rows.
+            new += range(max(lo, filled), hi)
+            filled = max(filled, hi)
+        if new:
+            blank = np.full((filled - self._rows.shape[0], 4), np.nan)
+            self._rows = np.concatenate([self._rows, blank])
+            scan_feature_rows(self._open, self.box, new, self._rows)
+        out = [
+            (start, end, target, reduce_window(self._rows[lo:hi]))
+            for start, end, target, lo, hi in kept
+        ]
         # No undecided window holds a scan before the next one's start.
         drop = int(np.searchsorted(times, self._bounds(self._k)[0] - EDGE_TOLERANCE))
-        self._open, self._base = self._open[drop:], self._base + drop
-        # A pending window starts no later than the next undecided one.
-        first = self._pending[0][3] if self._pending else self._base
-        cut = int(np.searchsorted(self._need, first))
-        self._need, self._rows = self._need[cut:], self._rows[cut:]
+        self._open, self._rows = self._open[drop:], self._rows[drop:]
         return out
-
-    def _keep(self, start, end, target, i0: int, i1: int) -> list:
-        """Queue the scans of a kept window not queued before; fill the
-        queue first when they would take it past the batch budget."""
-        out = []
-        a = max(i0, int(self._need[-1]) + 1 if self._need.size else 0)
-        if a < i1:
-            # A copy, so that the open scans can be let go before the fill.
-            scans = ScanTable.concat([self._open[a - self._base : i1 - self._base]])
-            points = int(scans.offsets[-1])
-            if self._queued_points and self._queued_points + points > features._FILL_BATCH_POINTS:
-                out = self._fill()
-            self._queue.append(scans)
-            self._queued_scans += len(scans)
-            self._queued_points += points
-            self._need = np.concatenate([self._need, np.arange(a, i1)])
-            self._rows = np.concatenate([self._rows, np.full((i1 - a, 4), np.nan)])
-            self._note_held()
-        self._pending.append((start, end, target, i0, i1))
-        return out
-
-    def _fill(self) -> list:
-        """Fill the rows of the queued scans; reduce every pending window."""
-        if self._queue:
-            table = ScanTable.concat(self._queue)
-            self._queue, self._queued_scans, self._queued_points = [], 0, 0
-            n = len(table)
-            scan_feature_rows(table, self.box, np.arange(n), self._rows[self._rows.shape[0] - n :])
-        out = []
-        for start, end, target, i0, i1 in self._pending:
-            a, b = np.searchsorted(self._need, [i0, i1]).tolist()
-            out.append((start, end, target, reduce_window(self._rows[a:b])))
-        self._pending = []
-        return out
-
-    def _note_held(self) -> None:
-        self.peak_scans = max(self.peak_scans, len(self._open) + self._queued_scans)
-        self.peak_points = max(
-            self.peak_points, int(self._open.offsets[-1]) + self._queued_points
-        )
 
 
 def make_windows(
@@ -408,16 +376,12 @@ def make_windows(
     overlapping windows featurize each scan once and scans of skipped
     windows are never featurized.
     """
-    if duration <= 0:
-        raise InvalidInputError("duration must be positive")
-    stride = duration if stride is None else float(stride)
-    if stride <= 0:
-        raise InvalidInputError("stride must be positive")
+    stride = duration if stride is None else stride
+    stream = WindowStream(box, duration, stride, series=series)
     if stride < duration and not allow_overlap:
         raise InvalidInputError(
             "stride < duration produces overlapping windows; pass allow_overlap=True"
         )
-    stream = WindowStream(box, duration, stride, series=series)
     blocks = [scans] if isinstance(scans, Sequence) else scans
     windows = [w for block in blocks for w in stream.push(block)] + stream.close()
     result = stream.counts
@@ -434,11 +398,12 @@ class StreamingPredictor:
     Emission k is at t0 + buffer + k * period, from the scans of the
     ``buffer`` seconds before it: the end-anchored windows of a
     :class:`WindowStream` (``windows``), with its memory bound. push and
-    close return ``(time, MixturePrediction)`` for the emissions whose
-    vectors are ready, in time order, by :func:`infer_batch` with
-    ``margin_fraction`` and ``error_floor``; a row does not depend on its
-    batch, so the predictions equal those of one batch over the whole
-    stream.
+    close return ``(time, MixturePrediction)`` for the emissions that they
+    decide, in time order: an emission is returned by the first push whose
+    last scan reaches its time. The predictions come from
+    :func:`infer_batch` with ``margin_fraction`` and ``error_floor``; a row
+    does not depend on its batch, so they equal those of one batch over the
+    whole stream.
     """
 
     def __init__(

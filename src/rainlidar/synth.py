@@ -460,6 +460,11 @@ def write_session_scans(
     worker makes the odd blocks while this process makes the even ones.
     Each scan draws from a stream keyed by its frame index, so the bytes do
     not depend on the worker or on where the blocks are cut.
+
+    Python 3.12 and later may warn (DeprecationWarning) that the process
+    forks while it has other threads: OpenBLAS's thread pool, which numpy
+    may start at import unless OPENBLAS_NUM_THREADS=1. The worker only
+    draws and formats scans. The warning is left as it is, not filtered.
     """
     frames = _SessionFrames(profile, None, box, seed, fluctuation, disturbance)
     n_frames = len(frames.times)

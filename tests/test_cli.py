@@ -17,7 +17,7 @@ from rainlidar.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from rainlidar.errors import InvalidInputError
 from rainlidar.features import CropBox, Scan, ScanTable, WindowSample
 from rainlidar.moe import infer_batch
-from rainlidar.pipeline import Dataset
+from rainlidar.pipeline import EDGE_TOLERANCE, Dataset, StreamingPredictor
 from rainlidar.synth import (
     DisturbanceParams,
     RainProfile,
@@ -578,6 +578,32 @@ def gappy_scans():
     return [Scan(rng.uniform(-5, 5, (8, 3)), rng.random(8), float(t), i) for i, t in enumerate(times)]
 
 
+class TestEmissionLatency:
+    def test_each_emission_returned_by_the_first_push_that_reaches_it(self, workspace):
+        # A 10 Hz session pushed 1 s at a time, as a live sensor would.
+        model = rio.load_model(workspace["model"])
+        table = ScanTable.from_scans(gappy_scans())
+        seconds = np.floor(table.timestamps)
+        starts = np.flatnonzero(np.diff(seconds, prepend=-1.0)).tolist()
+        predictor = StreamingPredictor(model, CropBox(10.0), 10.0, 1.0)
+        pushed, previous = [], -np.inf
+        for a, b in zip(starts, [*starts[1:], len(table)]):
+            last = float(table.timestamps[b - 1])
+            for emit, pred in predictor.push(table[a:b]):
+                # from the first push whose last scan reaches the emission time
+                assert previous < emit - EDGE_TOLERANCE <= last
+                pushed.append((emit, pred))
+            previous = last
+        assert predictor.close() == []
+        whole = StreamingPredictor(model, CropBox(10.0), 10.0, 1.0)
+        want = whole.push(table) + whole.close()
+        assert len(pushed) == len(want) == 26
+        for (t, p), (t_want, p_want) in zip(pushed, want):
+            assert t == t_want
+            assert p.point_estimate == p_want.point_estimate
+            assert p.error_probability == p_want.error_probability
+
+
 def stream_csv(model, windows) -> str:
     """stream.csv as ``rainlidar predict`` writes it, from (start, end, target, vector) windows."""
     preds = infer_batch(model, [v for *_, v in windows])
@@ -742,6 +768,35 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: --seed must be a non-negative integer, got -1\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("featurize", "--duration"), ("featurize", "--stride"),
+         ("predict", "--buffer"), ("predict", "--emit-period")],
+    )
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_window_length_is_usage(
+        self, workspace, tmp_path, capsys, command, flag, value
+    ):
+        out = tmp_path / "out.csv"
+        flags = {
+            "featurize": ["--scans", str(workspace["scans"]), "--rain", str(workspace["rain"])],
+            "predict": ["--model", str(workspace["model"]), "--scans", str(workspace["scans"])],
+        }[command]
+        assert main([command, *flags, "--out", str(out), flag, value]) == EXIT_USAGE
+        assert "must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "0"])
+    def test_bad_box_is_usage(self, workspace, tmp_path, capsys, value):
+        out = tmp_path / "dataset.csv"
+        assert main([
+            "featurize", "--scans", str(workspace["scans"]), "--rain", str(workspace["rain"]),
+            "--out", str(out), "--box", value,
+        ]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "error: crop box half extent must be finite and positive\n"
+        assert not out.exists()
 
     def test_no_command_prints_help(self, capsys):
         assert main([]) == EXIT_USAGE

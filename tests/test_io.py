@@ -3,6 +3,7 @@
 import contextlib
 import json
 import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -107,6 +108,22 @@ class TestScanFormat:
 def scan_stream(scans):
     """The scans as a generator, the way ``rainlidar synth`` hands them over."""
     yield from scans
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_mode_is_what_open_gives(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "plain.txt", "w"):
+                pass
+            rio.atomic_write_text(tmp_path / "text.txt", "x\n")
+            rio.write_scans(tmp_path / "scans.txt", random_scans())
+            assert os.umask(umask) == umask  # put back as it was
+        finally:
+            os.umask(old)
+        for name in ("plain.txt", "text.txt", "scans.txt"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o666 & ~umask, name
 
 
 class TestStreamingScanWriter:

@@ -403,6 +403,8 @@ class TestWindowStream:
     SERIES = RainSeries([0.0, 6.0, 9.0, 30.0], [3.0, 5.0, 8.0, 2.0], [0, 0, 1, 1])
 
     @pytest.mark.parametrize("seed", range(6))
+    # scan_feature_rows's batch budget: a push's fill split into one-scan
+    # batches, into a few batches, and whole
     @pytest.mark.parametrize("budget", [1, 40, 1 << 15])
     @pytest.mark.parametrize(
         "duration, period, end_anchored",
@@ -436,6 +438,7 @@ class TestWindowStream:
 
     @pytest.mark.parametrize("end_anchored", [False, True])
     def test_each_kept_scan_filled_once_in_order(self, monkeypatch, end_anchored):
+        # so that scan_feature_rows splits a push's fill into batches
         monkeypatch.setattr(features, "_FILL_BATCH_POINTS", 30)
         scans = [scan_at(t) for t in np.arange(0, 300) / 10]
         seen = counting_crops(monkeypatch)
@@ -454,6 +457,7 @@ class TestWindowStream:
         # Lines of one length (six-digit frame ids, timestamps 1000.0 to
         # 9999.9), so the file's blocks and the windows repeat in step.
         monkeypatch.setattr(rio, "SCAN_BLOCK_BYTES", 1000)
+        # so that scan_feature_rows splits a push's fill into batches
         monkeypatch.setattr(features, "_FILL_BATCH_POINTS", 200)
         points = np.array([[1.25, -2.5, 3.75], [0.5, 0.25, -1.5], [2.0, 2.0, -3.0]])
         peaks = []
@@ -492,9 +496,13 @@ class TestWindowStream:
         assert stream.push([]) == [] and stream.close() == []
         assert stream.counts.n_windows == stream.counts.n_scans == 0
 
-    @pytest.mark.parametrize("duration, period", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
+    @pytest.mark.parametrize(
+        "duration, period",
+        [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0),
+         (np.inf, 1.0), (1.0, np.inf), (np.nan, 1.0), (1.0, np.nan)],
+    )
     def test_non_positive_duration_or_period_rejected(self, duration, period):
-        with pytest.raises(InvalidInputError, match="positive"):
+        with pytest.raises(InvalidInputError, match="finite and positive"):
             WindowStream(CropBox(10.0), duration, period)
 
 

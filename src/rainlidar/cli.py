@@ -247,9 +247,16 @@ def cmd_predict(args) -> int:
     )
     emissions = [e for block in rio.read_scan_blocks(args.scans) for e in predictor.push(block)]
     emissions += predictor.close()
-    counts = predictor.windows.counts
+    stream = predictor.windows
+    counts = stream.counts
     if not counts.n_scans:
         raise InvalidInputError("no scans to predict on")
+    if not emissions:
+        print(
+            f"predict: warning: no window kept: the buffer is {buffer_s:g} s and the scans "
+            f"span {stream.last - stream.t0:g} s ({stream.t0:g} to {stream.last:g} s)",
+            file=sys.stderr,
+        )
     lines = ["time_s,point_estimate_mm_h,error_probability," + ",".join(
         f"resp_e{m}" for m in range(1, model.spec.n_experts + 1)
     )]
@@ -266,6 +273,13 @@ def cmd_predict(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    for flag, value, least in (
+        ("--scan-points", args.scan_points, 2),  # an MST needs two points
+        ("--reps", args.reps, 1),
+        ("--feature-reps", args.feature_reps, 1),
+    ):
+        if value < least:
+            raise InvalidInputError(f"{flag} must be at least {least}, got {value}")
     model = rio.load_model(args.model)
     dataset_config = model.metadata.get("dataset_config", {})
     box = CropBox(args.box if args.box is not None else dataset_config.get("box_half_extent", 10.0))
@@ -281,13 +295,13 @@ def cmd_bench(args) -> int:
     scan_features(dense, box)
     featurize_cold = time.perf_counter() - t0
     warm = []
-    for _ in range(max(args.feature_reps, 1)):
+    for _ in range(args.feature_reps):
         t0 = time.perf_counter()
         scan_features(dense, box)
         warm.append(time.perf_counter() - t0)
     probe = model.standardization.mean.copy()
     latencies = []
-    for _ in range(max(args.reps, 1)):
+    for _ in range(args.reps):
         t0 = time.perf_counter()
         infer(model, probe)
         latencies.append(time.perf_counter() - t0)
@@ -296,7 +310,7 @@ def cmd_bench(args) -> int:
         "scan_points": args.scan_points,
         "featurize_cold_s": featurize_cold,
         "featurize_warm_mean_s": float(np.mean(warm)),
-        "inference_reps": int(args.reps),
+        "inference_reps": args.reps,
         "inference_mean_s": float(latencies.mean()),
         "inference_p95_s": float(np.percentile(latencies, 95)),
         "tree_depth": model.spec.depth,

@@ -12,13 +12,26 @@ are written from any iterable of scans and read as
 of lines at a time, so neither holds more than a block of text;
 :func:`read_scans` joins the blocks into one table, every point in one
 buffer. :func:`rainlidar.synth.write_session_scans` writes a synthetic
-session's scans, with a second process where two CPUs are available; it
-formats each block with :func:`_scan_block_text`, as :func:`write_scans`
-does, so this module alone owns the line layout and both give the same
-bytes for the same scans. A block of single-spaced ASCII lines with
-finite values is parsed by one C-level ``np.fromstring`` pass; any other
-block goes line by line through ``int`` and ``float``, which decide what a
-malformed file is: its first bad line is reported as ``path:line:``.
+session's scans; it formats each block with :func:`_scan_block_text`, as
+:func:`write_scans` does, so this module alone owns the line layout and
+both give the same bytes for the same scans. A block of single-spaced
+ASCII lines with finite values is parsed by one C-level ``np.fromstring``
+pass; any other block goes line by line through ``int`` and ``float``,
+which decide what a malformed file is: its first bad line is reported as
+``path:line:``.
+
+The session writer and the reader of a regular file use a second process
+where two or more CPUs may run this one (:func:`_odd_block_worker`): a
+forked worker makes every other block, text or parsed scans, and hands it
+over through a pipe; this process makes the blocks between and keeps the
+file order. The output does not depend on the worker. The reader's worker
+hands over only blocks that parse cleanly, so every error is raised as
+with one process; with one CPU, or for a pipe or other file that cannot
+be read twice, one process does all the work. Python 3.12 and later may
+warn (DeprecationWarning) that the process forks while it has other
+threads: OpenBLAS's pool, which numpy may start at import unless
+OPENBLAS_NUM_THREADS=1. The workers only parse, draw and format scans;
+the warning is left as it is, not filtered.
 
 Disdrometer tracks: CSV with mandatory header
 ``timestamp_s,rate_mm_h,segment_id``.
@@ -45,14 +58,17 @@ import csv
 import io as _io
 import json
 import os
+import pickle
+import signal
+import stat
 import tempfile
 import warnings as _warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
 
-from .errors import FileFormatError
+from .errors import FileFormatError, InvalidInputError
 from .features import (
     FEATURE_NAMES,
     FeatureStats,
@@ -173,33 +189,217 @@ def read_scan_blocks(path):
     block is checked as :func:`read_scans` describes: the first bad line of
     the file raises when its block is reached, after the blocks ahead of it
     have been yielded.
+
+    A regular file of more than one block is parsed by two processes where
+    two CPUs may run this one: a forked worker opens the file itself, cuts
+    the same blocks and parses the odd ones with :func:`_parse_block`. This
+    process parses the even ones, and an odd one too unless the worker
+    parsed the block of the same offset and length, so every error is
+    raised here, as with one process. The worker is killed and joined when
+    the reading ends: by exhaustion, an error or the generator's close.
     """
-    lines_before = 0
+    lines_before = offset = k = 0
     with open(path, "rb") as handle:
-        rest, more = b"", True
-        while more:
-            chunk = handle.read(SCAN_BLOCK_BYTES)
-            more = bool(chunk)
-            cut = chunk.rfind(b"\n") + 1 if more else 0
-            if more and cut == 0:
-                rest += chunk
-                continue
+        info = os.fstat(handle.fileno())
+        several = stat.S_ISREG(info.st_mode) and info.st_size > SCAN_BLOCK_BYTES
+        with _odd_block_worker(_odd_blocks_packed(path, info) if several else None) as receive:
+            rest = b""
+            while True:
+                data, rest = _next_lines(handle, rest)
+                if not data:
+                    return
+                parsed = None
+                if receive and k % 2:
+                    try:
+                        parsed = _unpack_block(receive(), offset, len(data))
+                    except OSError:  # the worker died or could not read: parse the rest here
+                        receive = None
+                offset, k = offset + len(data), k + 1
+                ids, times, n_points, quads, n_lines = (
+                    parsed or _parse_block(data) or _parse_lines(data, path, lines_before)
+                )
+                # The text is not held while the consumer works on its scans.
+                del data
+                lines_before += n_lines
+                if len(ids):
+                    offsets = np.zeros(len(ids) + 1, dtype=np.intp)
+                    np.cumsum(n_points, out=offsets[1:])
+                    yield ScanTable._trusted(
+                        _id_array(ids), times, offsets, quads[:, :3], quads[:, 3]
+                    )
+
+
+def _next_lines(handle, rest: bytes):
+    """The next block of whole lines of a binary ``handle``, and the rest.
+
+    ``rest`` is the part of a line that the last block left over. Reads
+    SCAN_BLOCK_BYTES at a time to the first read with a line end, and cuts
+    the block back to its last one; at the end of the file the block is
+    the rest, and then empty.
+    """
+    while chunk := handle.read(SCAN_BLOCK_BYTES):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
             # One copy: the lines that end in this chunk, after the rest of the last.
-            data = b"".join((rest, memoryview(chunk)[:cut])) if more else rest
-            rest = chunk[cut:]
-            del chunk
+            return b"".join((rest, memoryview(chunk)[:cut])), chunk[cut:]
+        rest += chunk
+    return rest, b""
+
+
+def _odd_blocks_packed(path, info):
+    """Worker body of :func:`read_scan_blocks`: the odd blocks of the file
+    that ``path`` names, each as :func:`_pack_block` packs it; none when
+    ``path`` no longer names the file of stat result ``info``."""
+    with open(path, "rb") as handle:
+        if not os.path.samestat(info, os.fstat(handle.fileno())):
+            return
+        rest, offset, k = b"", 0, 0
+        while True:
+            data, rest = _next_lines(handle, rest)
             if not data:
-                continue
-            ids, times, n_points, quads, n_lines = _parse_block(data) or _parse_lines(
-                data, path, lines_before
-            )
-            # The text is not held while the consumer works on its scans.
-            del data
-            lines_before += n_lines
-            if ids:
-                offsets = np.zeros(len(ids) + 1, dtype=np.intp)
-                np.cumsum(n_points, out=offsets[1:])
-                yield ScanTable._trusted(_id_array(ids), times, offsets, quads[:, :3], quads[:, 3])
+                return
+            if k % 2:
+                yield _pack_block(data, offset)
+            offset, k = offset + len(data), k + 1
+
+
+def _pack_block(data: bytes, offset: int):
+    """What :func:`_parse_block` gives for the block ``data`` at byte
+    ``offset``, as one buffer: the offset, length, line and scan counts,
+    the frame ids and point counts (int64), then the timestamps and
+    points (float64). None where the block is left to the reading
+    process: the parse declines or raises, or a frame id is beyond int64.
+    """
+    try:
+        parsed = _parse_block(data)
+    except InvalidInputError:
+        return None
+    if parsed is None:
+        return None
+    frame_ids, timestamps, counts, points, n_lines = parsed
+    frame_ids = _id_array(frame_ids)
+    if frame_ids.dtype != np.int64:
+        return None
+    head = np.array([offset, len(data), n_lines, len(frame_ids)], dtype=np.int64)
+    return b"".join((head, frame_ids, counts.astype(np.int64), timestamps, points))
+
+
+def _unpack_block(packed, offset: int, size: int):
+    """What :func:`_parse_block` returns, read from a :func:`_pack_block`
+    buffer; None unless it holds the block of ``size`` bytes at ``offset``.
+
+    The points are a view of the buffer; the per-scan arrays are copies,
+    so that a consumer that keeps them (a stream keeps every timestamp)
+    does not keep the buffer.
+    """
+    if packed is None:
+        return None
+    head = np.frombuffer(packed, np.int64, 4)
+    if head[0] != offset or head[1] != size:
+        return None
+    n_lines, n_scans = head[2:].tolist()
+    ints = np.frombuffer(packed, np.int64, 4 + 2 * n_scans)
+    floats = np.frombuffer(packed, np.float64, offset=ints.nbytes)
+    ids, counts, times = ints[4 : 4 + n_scans], ints[4 + n_scans :], floats[:n_scans]
+    return ids.copy(), times.copy(), counts.copy(), floats[n_scans:].reshape(-1, 4), n_lines
+
+
+# The worker's pipe holds about one block of synth text (100 frames at
+# 10 Hz: 0.37 MB median, 0.68 MB at most on the default session) or two
+# parsed read blocks (about 0.23 MB each); a default pipe holds 64 KiB.
+_PIPE_BYTES = 1 << 19
+
+
+def _worker_count() -> int:
+    """2 when this process may run on two or more CPUs and can fork, else 1."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return 2 if len(os.sched_getaffinity(0)) >= 2 else 1
+
+
+@contextmanager
+def _odd_block_worker(results):
+    """Yield a function that returns the next item of ``results``, made by a
+    forked worker, or None where a worker does not help (no ``results``,
+    one CPU, no fork).
+
+    ``results`` is iterated in the worker only. Each item is bytes-like,
+    returned as a bytearray, or None, returned as None. The worker writes
+    each item to a pipe widened to _PIPE_BYTES, so it can start its next
+    item before this process takes the last one; a write waits while the
+    pipe is full. An error raised by ``results`` is raised by the
+    function; a worker that ends before its items do raises
+    ChildProcessError. The worker closes this process's end of the pipe,
+    so its writes fail once this process is gone; it is killed and joined
+    on every path out of the block.
+    """
+    if results is None or _worker_count() < 2:
+        yield None
+        return
+    import fcntl
+
+    read_fd, write_fd = os.pipe()
+    # Linux only; elsewhere the pipe keeps its size and the worker waits more.
+    with suppress(AttributeError, OSError):
+        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            _send_blocks(results, write_fd)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    pipe = open(read_fd, "rb")
+    status = None
+
+    def join() -> int:
+        nonlocal status
+        if status is None:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        return status
+
+    def receive():
+        head = pipe.read(9)
+        body = bytearray(int.from_bytes(head[1:], "little"))
+        if len(head) < 9 or pipe.readinto(body) < len(body):
+            raise ChildProcessError(f"scan worker exited with code {join()}")
+        if head[:1] == b"e":
+            raise pickle.loads(body)
+        return None if head[:1] == b"n" else body
+
+    try:
+        yield receive
+    finally:
+        pipe.close()
+        if status is None:
+            os.kill(pid, signal.SIGKILL)
+        join()
+
+
+def _send_blocks(results, write_fd) -> None:
+    """Worker body: write each item of ``results``, or the error that
+    stopped them, to the pipe ``write_fd`` as a message: its kind, its
+    length and its bytes."""
+    # An interrupt reaches the parent too, which kills the worker.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    with open(write_fd, "wb") as pipe:
+
+        def send(kind: bytes, body) -> None:
+            pipe.write(kind + len(body).to_bytes(8, "little"))
+            pipe.write(body)
+            pipe.flush()
+
+        try:
+            for item in results:
+                if item is None:
+                    send(b"n", b"")
+                else:
+                    send(b"d", item)
+        except Exception as exc:
+            send(b"e", pickle.dumps(exc))
 
 
 def read_scans(path) -> ScanTable:

@@ -235,7 +235,8 @@ class WindowStream:
     The stream holds the scans that an undecided window can hold, their
     per-scan rows and (unless ``end_anchored``) every timestamp, at 8
     bytes a scan. ``peak_scans`` and ``peak_points`` are the most scans and
-    points held at once.
+    points held at once; ``t0`` and ``last`` are the first and last scan
+    times pushed, None before the first.
 
     A scan earlier than the one before it is recorded, after which push
     ignores its scans and close raises InvalidInputError: a reader can go
@@ -256,7 +257,7 @@ class WindowStream:
         self.series, self.end_anchored = series, end_anchored
         self.counts = WindowingResult(samples=[])
         self.peak_scans = self.peak_points = 0
-        self._t0 = self._last = None
+        self.t0 = self.last = None
         self._times = []  # every timestamp, for the median gap (not end_anchored)
         self._open = ScanTable.from_scans([])  # the scans an undecided window can hold
         # Rows of the first open scans, to the end of the last kept window; a
@@ -271,27 +272,27 @@ class WindowStream:
         if self._unordered or not table:
             return []
         times = table.timestamps
-        if (self._last is not None and times[0] < self._last) or np.any(np.diff(times) < 0):
+        if (self.last is not None and times[0] < self.last) or np.any(np.diff(times) < 0):
             self._unordered = True
             return []
-        if self._t0 is None:
-            self._t0 = float(times[0])
-        self._last = float(times[-1])
+        if self.t0 is None:
+            self.t0 = float(times[0])
+        self.last = float(times[-1])
         self.counts.n_scans += len(table)
         if not self.end_anchored:
             self._times.append(times)
         self._open = ScanTable.concat([self._open, table])
         self.peak_scans = max(self.peak_scans, len(self._open))
         self.peak_points = max(self.peak_points, int(self._open.offsets[-1]))
-        return self._decide(self._last, final=False)
+        return self._decide(self.last, final=False)
 
     def close(self) -> list:
         """End the stream: decide the last windows and return the kept ones."""
         if self._unordered:
             raise InvalidInputError("scans must be time-ordered")
-        if self._t0 is None:
+        if self.t0 is None:
             return []
-        limit = self._last
+        limit = self.last
         if not self.end_anchored:
             gaps = np.diff(np.concatenate(self._times))
             limit += float(np.median(gaps)) if gaps.size else 0.0
@@ -299,9 +300,9 @@ class WindowStream:
 
     def _bounds(self, k: int):
         if self.end_anchored:
-            end = (self._t0 + self.duration) + k * self.period
+            end = (self.t0 + self.duration) + k * self.period
             return end - self.duration, end
-        start = self._t0 + k * self.period
+        start = self.t0 + k * self.period
         return start, start + self.duration
 
     def _decide(self, limit: float, final: bool) -> list:
@@ -318,7 +319,7 @@ class WindowStream:
         filled = self._rows.shape[0]
         last = limit + 1e-9
         # One index past the last window that can fit; the end test trims it.
-        n_windows = max(int((last - self._t0 - self.duration) // self.period) + 2, 0)
+        n_windows = max(int((last - self.t0 - self.duration) // self.period) + 2, 0)
         times = self._open.timestamps
         while self._k < n_windows:
             start, end = self._bounds(self._k)

@@ -21,15 +21,13 @@ output.
 from __future__ import annotations
 
 import math
-import os
-from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .features import CropBox, Scan, _check_points
-from .io import _scan_block_text, atomic_open
+from .io import _odd_block_worker, _scan_block_text, atomic_open
 from .pipeline import RainSeries
 
 # Fixed sub-stream tags fanned out from the session seed.
@@ -437,10 +435,6 @@ class _SessionFrames:
 # between the processes, larger ones only hold more.
 SESSION_BLOCK_FRAMES = 100
 
-# The worker's pipe holds about one 10 Hz block (0.37 MB median, 0.68 MB
-# at most on the default session); a default pipe holds 64 KiB.
-_PIPE_BYTES = 1 << 19
-
 
 def write_session_scans(
     path,
@@ -457,14 +451,13 @@ def write_session_scans(
     The session is set up first, so bad arguments raise before any output.
     The frames are cut into blocks of SESSION_BLOCK_FRAMES, which this
     process writes in order. When it may run on two or more CPUs, a forked
-    worker makes the odd blocks while this process makes the even ones.
+    worker makes the odd blocks while this process makes the even ones
+    (the worker of :func:`rainlidar.io.read_scan_blocks`, with the same
+    pipe, kill and join).
     Each scan draws from a stream keyed by its frame index, so the bytes do
-    not depend on the worker or on where the blocks are cut.
-
-    Python 3.12 and later may warn (DeprecationWarning) that the process
-    forks while it has other threads: OpenBLAS's thread pool, which numpy
-    may start at import unless OPENBLAS_NUM_THREADS=1. The worker only
-    draws and formats scans. The warning is left as it is, not filtered.
+    not depend on the worker or on where the blocks are cut. Python 3.12
+    and later may warn about the fork, as the :mod:`rainlidar.io`
+    docstring describes.
     """
     frames = _SessionFrames(profile, None, box, seed, fluctuation, disturbance)
     n_frames = len(frames.times)
@@ -473,80 +466,11 @@ def write_session_scans(
     def block(start):
         return frames.block_text(start, min(start + SESSION_BLOCK_FRAMES, n_frames))
 
-    with atomic_open(path) as handle, _odd_block_worker(block, starts) as receive:
+    odd = (block(start).encode() for start in starts[1::2]) if len(starts) > 1 else None
+    with atomic_open(path) as handle, _odd_block_worker(odd) as receive:
         for k, start in enumerate(starts):
-            handle.write(receive() if receive and k % 2 else block(start))
+            handle.write(receive().decode() if receive and k % 2 else block(start))
     return n_frames
-
-
-def _worker_count() -> int:
-    """2 when this process may run on two or more CPUs and can fork, else 1."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return 2 if len(os.sched_getaffinity(0)) >= 2 else 1
-
-
-@contextmanager
-def _odd_block_worker(block, starts):
-    """Yield a function that returns the next odd block of ``starts``, made
-    by a forked worker, or None where a worker does not help (one CPU, no
-    fork, a single block).
-
-    The worker sends each block's text through a pipe widened to hold
-    about one block, so it can start its next block before this process
-    takes the last one; a send waits while the pipe is full, so at most
-    one block is in flight. An error in the worker is raised by the
-    function. On any error the worker is killed, and it is joined on every
-    path.
-    """
-    if len(starts) < 2 or _worker_count() < 2:
-        yield None
-        return
-    import fcntl
-    import multiprocessing
-
-    context = multiprocessing.get_context("fork")
-    receiver, sender = context.Pipe(duplex=False)
-    # Linux only; elsewhere the pipe keeps its size and the worker waits more.
-    with suppress(AttributeError, OSError):
-        fcntl.fcntl(sender.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-    worker = context.Process(target=_send_blocks, args=(block, starts[1::2], sender), daemon=True)
-    worker.start()
-    sender.close()
-
-    def receive():
-        try:
-            item = receiver.recv()
-        except EOFError:
-            worker.join()
-            raise ChildProcessError(f"scan worker exited with code {worker.exitcode}") from None
-        if isinstance(item, BaseException):
-            raise item
-        return item
-
-    try:
-        yield receive
-    except BaseException:
-        worker.kill()
-        raise
-    finally:
-        worker.join()
-        receiver.close()
-    if worker.exitcode:
-        raise ChildProcessError(f"scan worker exited with code {worker.exitcode}")
-
-
-def _send_blocks(block, starts, sender) -> None:
-    """Worker body: send the text of each block in ``starts``, or the error that stopped it."""
-    import signal
-
-    # An interrupt reaches the parent too, which kills the worker.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    try:
-        for start in starts:
-            sender.send(block(start))
-    except Exception as exc:
-        sender.send(exc)
 
 
 def disdrometer_series(

@@ -6,6 +6,8 @@ import pathlib
 import re
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ import rainlidar
 from rainlidar import features, pipeline, synth
 from rainlidar import io as rio
 from rainlidar.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from rainlidar.errors import InvalidInputError
+from rainlidar.errors import FileFormatError, InvalidInputError
 from rainlidar.features import CropBox, Scan, ScanTable, WindowSample
 from rainlidar.moe import infer_batch
 from rainlidar.pipeline import EDGE_TOLERANCE, Dataset, StreamingPredictor
@@ -134,13 +136,13 @@ class TestSessionWriter:
     ):
         use_cpus(monkeypatch, cpus)
         worker_ran = tmp_path / "worker-ran"
-        send_blocks = synth._send_blocks
+        send_blocks = rio._send_blocks
 
         def spied_send_blocks(*args):
             worker_ran.touch()
             send_blocks(*args)
 
-        monkeypatch.setattr(synth, "_send_blocks", spied_send_blocks)
+        monkeypatch.setattr(rio, "_send_blocks", spied_send_blocks)
         profile = RainProfile(
             tuple(SegmentSpec(*map(float, s.split(":"))) for s in segments.split(",")),
             SensorSpec(frame_rate=frame_rate),
@@ -545,6 +547,25 @@ class TestPredict:
             "time_s,point_estimate_mm_h,error_probability,resp_e1,resp_e2,resp_e3,resp_e4\n"
         )
 
+    @pytest.mark.parametrize("buffer", ["500", "1e300"])
+    def test_no_window_kept_warns_with_buffer_and_span(self, workspace, tmp_path, capsys, buffer):
+        # 11 scans over 0..10 s: no buffer this long ends within them
+        scans = [Scan(np.ones((3, 3)), np.ones(3), 1.0 * i, i) for i in range(11)]
+        scan_path = tmp_path / "short_scans.txt"
+        rio.write_scans(scan_path, scans)
+        out = tmp_path / "stream.csv"
+        assert main([
+            "predict", "--model", str(workspace["model"]), "--scans", str(scan_path),
+            "--buffer", buffer, "--out", str(out),
+        ]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "predict: 0 emissions (0 skipped)" in captured.out
+        assert captured.err == (
+            f"predict: warning: no window kept: the buffer is {float(buffer):g} s "
+            "and the scans span 10 s (0 to 10 s)\n"
+        )
+        assert len(out.read_text().splitlines()) == 1
+
     def test_unordered_scans_are_usage_error(self, workspace, tmp_path, capsys):
         scans = [Scan(np.ones((2, 3)), np.ones(2), t, i) for i, t in enumerate([0.0, 2.0, 1.0])]
         scan_path = tmp_path / "unordered.txt"
@@ -689,7 +710,8 @@ class TestStreamedCommands:
         path.write_text("\n".join(lines) + "\n")
         return path
 
-    def commands(self, workspace, scans, out):
+    @staticmethod
+    def commands(workspace, scans, out):
         return {
             "featurize": ["featurize", "--scans", str(scans), "--rain", str(workspace["rain"]),
                           "--out", str(out), "--duration", "1"],
@@ -730,6 +752,207 @@ class TestStreamedCommands:
         assert list(tmp_path.iterdir()) == [scans]
 
 
+class TestTwoProcessReader:
+    """Where two CPUs may run it, read_scan_blocks parses every other block
+    of a regular file in a forked worker; what it yields, every error and
+    every output file are those of one process."""
+
+    @pytest.fixture(scope="class")
+    def session(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("two-process")
+        scans, rain = root / "scans.txt", root / "rain.csv"
+        assert main([
+            "synth", "--out-scans", str(scans), "--out-rain", str(rain), "--seed", "3",
+            "--segments", "60:7:5,60:30:5", "--frame-rate", "2", "--disdro-rate", "0.5",
+        ]) == EXIT_OK
+        return {"scans": scans, "rain": rain}
+
+    @pytest.fixture
+    def worker_ran(self, tmp_path, monkeypatch):
+        """A file that the worker body touches when it starts."""
+        path = tmp_path / "worker-ran"
+        send_blocks = rio._send_blocks
+
+        def spied_send_blocks(*args):
+            path.touch()
+            send_blocks(*args)
+
+        monkeypatch.setattr(rio, "_send_blocks", spied_send_blocks)
+        return path
+
+    @staticmethod
+    def table_bytes(table) -> list:
+        return [a.tobytes() for a in (table.frame_ids, table.timestamps, table.offsets,
+                                      table.xyz, table.intensity)]
+
+    def outputs(self, monkeypatch, tmp_path, session, model, cpus) -> dict:
+        use_cpus(monkeypatch, cpus)
+        out = {"table": self.table_bytes(rio.read_scans(session["scans"]))}
+        dataset, stream = tmp_path / f"dataset{cpus}.csv", tmp_path / f"stream{cpus}.csv"
+        assert main([
+            "featurize", "--scans", str(session["scans"]), "--rain", str(session["rain"]),
+            "--out", str(dataset), *TestStreamedCommands.FEATURIZE,
+        ]) == EXIT_OK
+        assert main([
+            "predict", "--model", str(model), "--scans", str(session["scans"]),
+            "--buffer", "10", "--emit-period", "1", "--out", str(stream),
+        ]) == EXIT_OK
+        out["dataset"], out["stream"] = dataset.read_bytes(), stream.read_bytes()
+        assert_no_child_process()
+        return out
+
+    @pytest.mark.parametrize("block", [300, 4097])
+    def test_outputs_do_not_depend_on_the_cpus(
+        self, workspace, session, tmp_path, monkeypatch, worker_ran, block
+    ):
+        monkeypatch.setattr(rio, "SCAN_BLOCK_BYTES", block)
+        assert session["scans"].stat().st_size > 50 * block
+        one = self.outputs(monkeypatch, tmp_path, session, workspace["model"], 1)
+        assert not worker_ran.exists()
+        two = self.outputs(monkeypatch, tmp_path, session, workspace["model"], 2)
+        assert worker_ran.exists()
+        assert one == two
+        assert len(rio.read_dataset(tmp_path / "dataset2.csv")) > 10
+
+    @staticmethod
+    def odd_block_line(path) -> int:
+        """The number of the first line of the fourth block (an odd one) of ``path``."""
+        lines, rest = 0, b""
+        with open(path, "rb") as handle:
+            for _ in range(3):
+                data, rest = rio._next_lines(handle, rest)
+                lines += data.count(b"\n")
+        return lines + 1
+
+    @pytest.mark.parametrize(
+        "value, code, message",
+        [("1x5", EXIT_IO, ": could not convert"), ("-15", EXIT_USAGE, "intensities must be finite and non-negative")],
+        ids=["malformed", "negative-intensity"],
+    )
+    @pytest.mark.parametrize("command", ["featurize", "predict"])
+    def test_bad_line_in_an_odd_block(
+        self, workspace, tmp_path, monkeypatch, capsys, worker_ran, command, value, code, message
+    ):
+        monkeypatch.setattr(rio, "SCAN_BLOCK_BYTES", 200)
+        good = TestStreamedCommands.bad_file(tmp_path / "good.txt", unsorted=None, bad_line=None)
+        bad_line = self.odd_block_line(good)
+        # the same length as "1.5", so the blocks are cut where they were
+        text = good.read_text().splitlines(keepends=True)
+        text[bad_line - 1] = text[bad_line - 1].replace(" 1.5 ", f" {value} ")
+        scans = tmp_path / "bad.txt"
+        scans.write_text("".join(text))
+        assert self.odd_block_line(scans) == bad_line > 4
+        out = tmp_path / "out.csv"
+        results = []
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            results.append((main(TestStreamedCommands.commands(workspace, scans, out)[command]),
+                            capsys.readouterr().err))
+            assert_no_child_process()
+            assert not out.exists()
+        assert worker_ran.exists()
+        assert results[0] == results[1]
+        assert results[0][0] == code and message in results[0][1]
+        if code == EXIT_IO:
+            assert results[0][1].startswith(f"I/O error: {scans}:{bad_line}: ")
+
+    def test_closed_generator_and_error_leave_no_process(
+        self, session, tmp_path, monkeypatch, worker_ran
+    ):
+        monkeypatch.setattr(rio, "SCAN_BLOCK_BYTES", 300)
+        use_cpus(monkeypatch, 2)
+        blocks = rio.read_scan_blocks(session["scans"])
+        assert next(blocks)
+        # closed while the worker has blocks left to send
+        deadline = time.monotonic() + 30
+        while not worker_ran.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert worker_ran.exists()
+        blocks.close()
+        assert_no_child_process()
+        # a malformed last line, raised after the worker has parsed blocks ahead of it
+        text = session["scans"].read_bytes()
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(text[:-1] + b" 1.0\n")
+        last_line = text.count(b"\n")
+        with pytest.raises(FileFormatError, match=f"{bad}:{last_line}: "):
+            for _ in rio.read_scan_blocks(bad):
+                pass
+        assert_no_child_process()
+
+    def test_consumer_error_leaves_no_process(
+        self, workspace, session, tmp_path, monkeypatch, capsys, worker_ran
+    ):
+        monkeypatch.setattr(rio, "SCAN_BLOCK_BYTES", 300)
+        use_cpus(monkeypatch, 2)
+        push = pipeline.WindowStream.push
+        pushed = []
+
+        def failing_push(self, scans):
+            # the third block: the worker has blocks ahead of it to send
+            pushed.append(len(scans))
+            if len(pushed) == 3:
+                raise InvalidInputError("injected")
+            return push(self, scans)
+
+        monkeypatch.setattr(pipeline.WindowStream, "push", failing_push)
+        scans = session["scans"]
+        for argv in TestStreamedCommands.commands(workspace, scans, tmp_path / "out.csv").values():
+            pushed.clear()
+            assert main(argv) == EXIT_USAGE
+            assert capsys.readouterr().err == "error: injected\n"
+            assert_no_child_process()
+            assert worker_ran.exists()
+            worker_ran.unlink()
+
+    def test_fifo_is_read_by_one_process(self, session, tmp_path, monkeypatch, worker_ran):
+        monkeypatch.setattr(rio, "SCAN_BLOCK_BYTES", 300)
+        use_cpus(monkeypatch, 2)
+        fifo = tmp_path / "scans.fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as handle:
+                handle.write(session["scans"].read_bytes())
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            table = rio.read_scans(fifo)
+        finally:
+            writer.join()
+        assert self.table_bytes(table) == self.table_bytes(rio.read_scans(session["scans"]))
+        assert worker_ran.exists()  # for the regular file only
+        worker_ran.unlink()
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            blocks = list(rio.read_scan_blocks(fifo))
+        finally:
+            writer.join()
+        assert len(blocks) > 10 and not worker_ran.exists()
+
+    @pytest.mark.parametrize("failure", ["declines", "dies"])
+    def test_worker_that_fails_leaves_its_blocks_to_the_reader(
+        self, session, tmp_path, monkeypatch, failure
+    ):
+        monkeypatch.setattr(rio, "SCAN_BLOCK_BYTES", 300)
+        use_cpus(monkeypatch, 1)
+        want = self.table_bytes(rio.read_scans(session["scans"]))
+        use_cpus(monkeypatch, 2)
+        pack_block = rio._pack_block
+
+        def failing_pack_block(data, offset):
+            if failure == "declines":
+                return None
+            if offset > 10 * rio.SCAN_BLOCK_BYTES:
+                os._exit(7)
+            return pack_block(data, offset)
+
+        monkeypatch.setattr(rio, "_pack_block", failing_pack_block)
+        assert self.table_bytes(rio.read_scans(session["scans"])) == want
+        assert_no_child_process()
+
 class TestBench:
     def test_report_schema(self, workspace, capsys):
         assert main([
@@ -741,6 +964,34 @@ class TestBench:
                     "inference_mean_s", "inference_p95_s", "scan_points"):
             assert key in doc
         assert doc["scan_points"] == 400
+
+    @pytest.mark.parametrize(
+        "flag, value, least",
+        [
+            ("--reps", "0", 1),
+            ("--reps", "-5", 1),
+            ("--feature-reps", "0", 1),
+            ("--feature-reps", "-2", 1),
+            ("--scan-points", "1", 2),
+            ("--scan-points", "0", 2),
+        ],
+    )
+    def test_count_below_its_least_is_usage(self, workspace, capsys, flag, value, least):
+        argv = ["bench", "--model", str(workspace["model"]), "--scan-points", "400",
+                "--reps", "5", "--feature-reps", "1"]
+        argv[argv.index(flag) + 1] = value
+        assert main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {flag} must be at least {least}, got {value}\n"
+
+    def test_least_counts_run(self, workspace, capsys):
+        assert main([
+            "bench", "--model", str(workspace["model"]), "--scan-points", "2",
+            "--reps", "1", "--feature-reps", "1",
+        ]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["scan_points"] == 2 and doc["inference_reps"] == 1
 
 
 class TestExitCodes:

@@ -23,13 +23,13 @@ which decide what a malformed file is: its first bad line is reported as
 The session writer and the reader of a regular file use a second process
 where two or more CPUs may run this one (:func:`_odd_block_worker`): a
 forked worker makes every other block, text or parsed scans, and hands it
-over through a pipe; this process makes the blocks between and keeps the
-file order. The output does not depend on the worker. The reader's worker
-hands over only blocks that parse cleanly, so every error is raised as
-with one process; with one CPU, or for a pipe or other file that cannot
-be read twice, one process does all the work. Python 3.12 and later may
-warn (DeprecationWarning) that the process forks while it has other
-threads: OpenBLAS's pool, which numpy may start at import unless
+over through a pipe as one pickle; this process makes the blocks between
+and keeps the file order. The output does not depend on the worker. The
+reader's worker hands over only blocks that parse cleanly, so every error
+is raised as with one process; with one CPU, or for a pipe or other file
+that cannot be read twice, one process does all the work. Python 3.12 and
+later may warn (DeprecationWarning) that the process forks while it has
+other threads: OpenBLAS's pool, which numpy may start at import unless
 OPENBLAS_NUM_THREADS=1. The workers only parse, draw and format scans;
 the warning is left as it is, not filtered.
 
@@ -192,17 +192,18 @@ def read_scan_blocks(path):
 
     A regular file of more than one block is parsed by two processes where
     two CPUs may run this one: a forked worker opens the file itself, cuts
-    the same blocks and parses the odd ones with :func:`_parse_block`. This
-    process parses the even ones, and an odd one too unless the worker
-    parsed the block of the same offset and length, so every error is
-    raised here, as with one process. The worker is killed and joined when
-    the reading ends: by exhaustion, an error or the generator's close.
+    the same blocks and parses the odd ones with :func:`_parse_block`
+    (:func:`_odd_blocks`), each sent back as one pickle. This process
+    parses the even ones, and an odd one too unless the worker parsed the
+    block of the same offset and length, so every error is raised here,
+    as with one process. The worker is killed and joined when the reading
+    ends: by exhaustion, an error or the generator's close.
     """
     lines_before = offset = k = 0
     with open(path, "rb") as handle:
         info = os.fstat(handle.fileno())
         several = stat.S_ISREG(info.st_mode) and info.st_size > SCAN_BLOCK_BYTES
-        with _odd_block_worker(_odd_blocks_packed(path, info) if several else None) as receive:
+        with _odd_block_worker(_odd_blocks(path, info) if several else None) as receive:
             rest = b""
             while True:
                 data, rest = _next_lines(handle, rest)
@@ -211,9 +212,11 @@ def read_scan_blocks(path):
                 parsed = None
                 if receive and k % 2:
                     try:
-                        parsed = _unpack_block(receive(), offset, len(data))
+                        sent = receive()
                     except OSError:  # the worker died or could not read: parse the rest here
                         receive = None
+                    else:  # the worker read the file again, which may have changed since
+                        parsed = sent[2] if sent[:2] == (offset, len(data)) else None
                 offset, k = offset + len(data), k + 1
                 ids, times, n_points, quads, n_lines = (
                     parsed or _parse_block(data) or _parse_lines(data, path, lines_before)
@@ -246,9 +249,10 @@ def _next_lines(handle, rest: bytes):
     return rest, b""
 
 
-def _odd_blocks_packed(path, info):
-    """Worker body of :func:`read_scan_blocks`: the odd blocks of the file
-    that ``path`` names, each as :func:`_pack_block` packs it; none when
+def _odd_blocks(path, info):
+    """Worker body of :func:`read_scan_blocks`: for each odd block of the
+    file that ``path`` names, its offset, its length and what
+    :func:`_parse_block` gives, or None where that raises; none when
     ``path`` no longer names the file of stat result ``info``."""
     with open(path, "rb") as handle:
         if not os.path.samestat(info, os.fstat(handle.fileno())):
@@ -259,54 +263,16 @@ def _odd_blocks_packed(path, info):
             if not data:
                 return
             if k % 2:
-                yield _pack_block(data, offset)
+                parsed = None
+                with suppress(InvalidInputError):  # raised by the reader when it gets there
+                    parsed = _parse_block(data)
+                yield offset, len(data), parsed
             offset, k = offset + len(data), k + 1
 
 
-def _pack_block(data: bytes, offset: int):
-    """What :func:`_parse_block` gives for the block ``data`` at byte
-    ``offset``, as one buffer: the offset, length, line and scan counts,
-    the frame ids and point counts (int64), then the timestamps and
-    points (float64). None where the block is left to the reading
-    process: the parse declines or raises, or a frame id is beyond int64.
-    """
-    try:
-        parsed = _parse_block(data)
-    except InvalidInputError:
-        return None
-    if parsed is None:
-        return None
-    frame_ids, timestamps, counts, points, n_lines = parsed
-    frame_ids = _id_array(frame_ids)
-    if frame_ids.dtype != np.int64:
-        return None
-    head = np.array([offset, len(data), n_lines, len(frame_ids)], dtype=np.int64)
-    return b"".join((head, frame_ids, counts.astype(np.int64), timestamps, points))
-
-
-def _unpack_block(packed, offset: int, size: int):
-    """What :func:`_parse_block` returns, read from a :func:`_pack_block`
-    buffer; None unless it holds the block of ``size`` bytes at ``offset``.
-
-    The points are a view of the buffer; the per-scan arrays are copies,
-    so that a consumer that keeps them (a stream keeps every timestamp)
-    does not keep the buffer.
-    """
-    if packed is None:
-        return None
-    head = np.frombuffer(packed, np.int64, 4)
-    if head[0] != offset or head[1] != size:
-        return None
-    n_lines, n_scans = head[2:].tolist()
-    ints = np.frombuffer(packed, np.int64, 4 + 2 * n_scans)
-    floats = np.frombuffer(packed, np.float64, offset=ints.nbytes)
-    ids, counts, times = ints[4 : 4 + n_scans], ints[4 + n_scans :], floats[:n_scans]
-    return ids.copy(), times.copy(), counts.copy(), floats[n_scans:].reshape(-1, 4), n_lines
-
-
-# The worker's pipe holds about one block of synth text (100 frames at
-# 10 Hz: 0.37 MB median, 0.68 MB at most on the default session) or two
-# parsed read blocks (about 0.23 MB each); a default pipe holds 64 KiB.
+# The worker's pipe holds about one pickled block of synth text (100 frames
+# at 10 Hz: 0.37 MB median, 0.68 MB at most on the default session) or two
+# of parsed read scans (about 0.23 MB each); a default pipe holds 64 KiB.
 _PIPE_BYTES = 1 << 19
 
 
@@ -323,15 +289,17 @@ def _odd_block_worker(results):
     forked worker, or None where a worker does not help (no ``results``,
     one CPU, no fork).
 
-    ``results`` is iterated in the worker only. Each item is bytes-like,
-    returned as a bytearray, or None, returned as None. The worker writes
-    each item to a pipe widened to _PIPE_BYTES, so it can start its next
-    item before this process takes the last one; a write waits while the
-    pipe is full. An error raised by ``results`` is raised by the
-    function; a worker that ends before its items do raises
-    ChildProcessError. The worker closes this process's end of the pipe,
-    so its writes fail once this process is gone; it is killed and joined
-    on every path out of the block.
+    ``results`` is iterated in the worker only. An item is any picklable
+    object; the function returns its unpickled copy. The worker writes
+    each item as one pickle (:func:`_send_blocks`) to a pipe widened to
+    _PIPE_BYTES, so it can start its next item before this process takes
+    the last one; a write waits while the pipe is full. ``pickle.load`` is
+    safe here: the pipe is made before the fork and only the worker
+    writes to it. An error raised by ``results`` is raised by the
+    function; a worker that ends before its items do, between or inside
+    a pickle, raises ChildProcessError. The worker closes this process's
+    end of the pipe, so its writes fail once this process is gone; it is
+    killed and joined on every path out of the block.
     """
     if results is None or _worker_count() < 2:
         yield None
@@ -362,13 +330,13 @@ def _odd_block_worker(results):
         return status
 
     def receive():
-        head = pipe.read(9)
-        body = bytearray(int.from_bytes(head[1:], "little"))
-        if len(head) < 9 or pipe.readinto(body) < len(body):
-            raise ChildProcessError(f"scan worker exited with code {join()}")
-        if head[:1] == b"e":
-            raise pickle.loads(body)
-        return None if head[:1] == b"n" else body
+        try:
+            ok, item = pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):  # the worker ended between or inside items
+            raise ChildProcessError(f"scan worker exited with code {join()}") from None
+        if not ok:
+            raise item
+        return item
 
     try:
         yield receive
@@ -380,26 +348,19 @@ def _odd_block_worker(results):
 
 
 def _send_blocks(results, write_fd) -> None:
-    """Worker body: write each item of ``results``, or the error that
-    stopped them, to the pipe ``write_fd`` as a message: its kind, its
-    length and its bytes."""
+    """Worker body: write each item of ``results`` to the pipe ``write_fd``
+    as one pickle (protocol 5, which writes an array's buffer as raw
+    bytes) of ``(True, item)``, or of ``(False, error)`` for the error
+    that stopped them."""
     # An interrupt reaches the parent too, which kills the worker.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     with open(write_fd, "wb") as pipe:
-
-        def send(kind: bytes, body) -> None:
-            pipe.write(kind + len(body).to_bytes(8, "little"))
-            pipe.write(body)
-            pipe.flush()
-
         try:
             for item in results:
-                if item is None:
-                    send(b"n", b"")
-                else:
-                    send(b"d", item)
+                pickle.dump((True, item), pipe, protocol=5)
+                pipe.flush()
         except Exception as exc:
-            send(b"e", pickle.dumps(exc))
+            pickle.dump((False, exc), pipe, protocol=5)
 
 
 def read_scans(path) -> ScanTable:
@@ -693,32 +654,40 @@ def load_model(path) -> MoEModel:
     # type(): True == 1 and 2.0 == 2, but neither is a version that was written.
     if type(version) is not int or version not in (1, MODEL_FORMAT_VERSION):
         raise FileFormatError(f"{path}: unsupported model version {version}")
+
+    def finite(values) -> np.ndarray:
+        """Model numbers as a float array; JSON's NaN and Infinity are rejected."""
+        array = np.array(values, dtype=float)
+        if not np.isfinite(array).all():
+            raise FileFormatError(f"{path}: non-finite number in the model parameters")
+        return array
+
     try:
         spec = TreeSpec(
             depth=doc["spec"]["depth"],
-            thresholds=tuple(doc["spec"]["thresholds"]),
-            expert_ranges=tuple(tuple(r) for r in doc["spec"]["expert_ranges"]),
+            thresholds=tuple(finite(doc["spec"]["thresholds"]).tolist()),
+            expert_ranges=tuple(map(tuple, finite(doc["spec"]["expert_ranges"]).tolist())),
         )
         gates = tuple(
             GatePosterior(
-                mean=np.array(g["mean"]),
-                covariance=np.array(g["covariance"]),
+                mean=finite(g["mean"]),
+                covariance=finite(g["covariance"]),
                 basis=_basis_from_doc(g["basis"]),
             )
             for g in doc["gates"]
         )
         experts = tuple(
             ExpertPosterior(
-                mean=np.array(e["mean"]),
-                covariance=np.array(e["covariance"]),
-                noise_precision=e["noise_precision"],
+                mean=finite(e["mean"]),
+                covariance=finite(e["covariance"]),
+                noise_precision=float(finite(e["noise_precision"])),
                 basis=_basis_from_doc(e["basis"]),
             )
             for e in doc["experts"]
         )
         stats = FeatureStats(
-            mean=np.array(doc["standardization"]["mean"]),
-            scale=np.array(doc["standardization"]["scale"]),
+            mean=finite(doc["standardization"]["mean"]),
+            scale=finite(doc["standardization"]["scale"]),
         )
         metadata = doc.get("metadata", {})
         if version == 1:

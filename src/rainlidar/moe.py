@@ -391,9 +391,10 @@ class MixturePrediction:
         variances = np.asarray(self.variances, dtype=float).reshape(-1)
         if not (resp.size == means.size == variances.size >= 1):
             raise InvalidInputError("component arrays must have equal nonzero length")
-        if abs(resp.sum() - 1.0) > 1e-9 or np.any(resp < 0):
+        # Written so that a NaN fails each test.
+        if not (abs(resp.sum() - 1.0) <= 1e-9 and np.all(resp >= 0)):
             raise InvalidInputError("responsibilities must be a distribution (sum 1)")
-        if np.any(variances <= 0):
+        if not np.all(variances > 0):
             raise InvalidInputError("component variances must be positive")
         if not 0.0 <= self.error_probability <= 1.0:
             raise InvalidInputError("error probability must be in [0, 1]")
@@ -465,8 +466,11 @@ def infer_batch(
     zero point estimate has error probability 1. Each row's result is
     bit-identical whatever batch it is in.
     """
-    if margin_fraction < 0 or error_floor < 0:
-        raise InvalidInputError("margin fraction and floor must be non-negative")
+    if not all(math.isfinite(v) and v >= 0 for v in (margin_fraction, error_floor)):
+        raise InvalidInputError(
+            "margin fraction and floor must be finite and non-negative, "
+            f"got {margin_fraction} and {error_floor}"
+        )
     X = np.asarray(X, dtype=float)
     if X.shape[:1] == (0,):
         return []

@@ -109,8 +109,8 @@ def savgol(series, window: int = DEFAULT_SAVGOL_WINDOW, order: int = DEFAULT_SAV
     y = np.asarray(series, dtype=float)
     if window < 1 or window % 2 == 0:
         raise InvalidInputError("window must be a positive odd integer")
-    if order >= window:
-        raise InvalidInputError("polynomial order must be < window")
+    if not 0 <= order < window:
+        raise InvalidInputError(f"polynomial order must be in [0, window), got {order}")
     if y.ndim != 1 or y.size < window:
         raise InvalidInputError("series must be 1-d and at least window long")
     if not np.all(np.isfinite(y)):
@@ -474,8 +474,8 @@ def split_validation(dataset: Dataset, per_segment_val_span: float = DEFAULT_VAL
     Segments shorter than three times the span keep all their samples as
     training data (with a warning).
     """
-    if per_segment_val_span <= 0:
-        raise InvalidInputError("validation span must be positive")
+    if not per_segment_val_span > 0:
+        raise InvalidInputError(f"validation span must be positive, got {per_segment_val_span}")
     tags = [SPLIT_TRAIN] * len(dataset.samples)
     for sid, lo, hi in dataset.segment_spans:
         if hi - lo < 3 * per_segment_val_span:

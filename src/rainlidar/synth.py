@@ -466,10 +466,10 @@ def write_session_scans(
     def block(start):
         return frames.block_text(start, min(start + SESSION_BLOCK_FRAMES, n_frames))
 
-    odd = (block(start).encode() for start in starts[1::2]) if len(starts) > 1 else None
+    odd = (block(start) for start in starts[1::2]) if len(starts) > 1 else None
     with atomic_open(path) as handle, _odd_block_worker(odd) as receive:
         for k, start in enumerate(starts):
-            handle.write(receive().decode() if receive and k % 2 else block(start))
+            handle.write(receive() if receive and k % 2 else block(start))
     return n_frames
 
 

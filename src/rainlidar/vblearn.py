@@ -290,8 +290,8 @@ def fit_vb_logistic(
         raise InvalidInputError("non-finite training values")
     if not np.all((t == 0.0) | (t == 1.0)):
         raise InvalidInputError("labels must be binary 0/1")
-    if not prior_precision > 0:
-        raise InvalidInputError("prior precision must be positive")
+    if not (np.isfinite(prior_precision) and prior_precision > 0):
+        raise InvalidInputError(f"prior precision must be finite and positive, got {prior_precision}")
     _check_max_iters(max_iters)
 
     flags = ()
@@ -410,8 +410,8 @@ def fit_vb_linear(
         raise InvalidInputError("targets must be one per design row")
     if not (np.all(np.isfinite(Phi)) and np.all(np.isfinite(y))):
         raise InvalidInputError("non-finite training values")
-    if not (a0 > 0 and b0 > 0 and beta_init > 0):
-        raise InvalidInputError("prior hyperparameters must be positive")
+    if not all(np.isfinite(v) and v > 0 for v in (a0, b0, beta_init)):
+        raise InvalidInputError("prior hyperparameters must be finite and positive")
     _check_max_iters(max_iters)
 
     n, d = Phi.shape

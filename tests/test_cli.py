@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import pickle
 import re
 import subprocess
 import sys
@@ -227,6 +228,25 @@ class TestSessionWriter:
         self.fail_in_block(monkeypatch, 1, True, lambda: os._exit(7))
         assert self.synth_into(tmp_path) == EXIT_IO
         assert "scan worker exited with code 7" in capsys.readouterr().err
+        assert_no_child_process()
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "error", [InvalidInputError("injected"), KeyError("frame", 3)], ids=repr
+    )
+    def test_error_in_a_worker_block_reaches_this_process_as_itself(
+        self, tmp_path, monkeypatch, error
+    ):
+        use_cpus(monkeypatch, 2)
+
+        def fail():
+            raise error
+
+        self.fail_in_block(monkeypatch, 3, True, fail)
+        profile = RainProfile((SegmentSpec(120.0, 7.0, 5.0),))
+        with pytest.raises(type(error)) as caught:
+            synth.write_session_scans(tmp_path / "scans.txt", profile, seed=3)
+        assert type(caught.value) is type(error) and caught.value.args == error.args
         assert_no_child_process()
         assert list(tmp_path.iterdir()) == []
 
@@ -932,7 +952,7 @@ class TestTwoProcessReader:
             writer.join()
         assert len(blocks) > 10 and not worker_ran.exists()
 
-    @pytest.mark.parametrize("failure", ["declines", "dies"])
+    @pytest.mark.parametrize("failure", ["declines", "dies", "dies-inside-an-item", "misplaced"])
     def test_worker_that_fails_leaves_its_blocks_to_the_reader(
         self, session, tmp_path, monkeypatch, failure
     ):
@@ -940,18 +960,78 @@ class TestTwoProcessReader:
         use_cpus(monkeypatch, 1)
         want = self.table_bytes(rio.read_scans(session["scans"]))
         use_cpus(monkeypatch, 2)
-        pack_block = rio._pack_block
+        odd_blocks, dump, load = rio._odd_blocks, pickle.dump, pickle.load
+        late = 10 * rio.SCAN_BLOCK_BYTES
 
-        def failing_pack_block(data, offset):
-            if failure == "declines":
-                return None
-            if offset > 10 * rio.SCAN_BLOCK_BYTES:
+        def failing_odd_blocks(path, info):
+            last = None
+            for offset, size, parsed in odd_blocks(path, info):
+                if failure == "declines":
+                    parsed = None
+                elif failure == "dies" and offset > late:
+                    os._exit(7)
+                elif failure == "misplaced":
+                    # as if the file changed before the worker read it: another
+                    # block's scans, one byte further on
+                    offset, parsed, last = offset + 1, last, parsed
+                yield offset, size, parsed
+
+        def dump_half_then_exit(obj, file, protocol=None):
+            """Write half of a late item's pickle, then end the worker."""
+            if obj[1][0] > late:
+                data = pickle.dumps(obj, protocol)
+                file.write(data[: len(data) // 2])
+                file.flush()
                 os._exit(7)
-            return pack_block(data, offset)
+            dump(obj, file, protocol=protocol)
 
-        monkeypatch.setattr(rio, "_pack_block", failing_pack_block)
+        errors = []
+
+        def spied_load(file):
+            try:
+                return load(file)
+            except Exception as exc:
+                errors.append(type(exc))
+                raise
+
+        monkeypatch.setattr(rio, "_odd_blocks", failing_odd_blocks)
+        if failure == "dies-inside-an-item":
+            monkeypatch.setattr(pickle, "dump", dump_half_then_exit)
+            monkeypatch.setattr(pickle, "load", spied_load)
         assert self.table_bytes(rio.read_scans(session["scans"])) == want
         assert_no_child_process()
+        assert errors == ([pickle.UnpicklingError] if failure == "dies-inside-an-item" else [])
+
+    def test_frame_ids_beyond_int64_are_parsed_by_the_worker(self, session, tmp_path, monkeypatch):
+        monkeypatch.setattr(rio, "SCAN_BLOCK_BYTES", 300)
+        lines = session["scans"].read_text().splitlines(keepends=True)
+        scans = tmp_path / "big-ids.txt"
+        scans.write_text("".join(f"{2**70 + i} {line.split(' ', 1)[1]}" for i, line in enumerate(lines)))
+        odd_blocks, parsed_ids = rio._odd_blocks, tmp_path / "parsed-ids"
+
+        def spied_odd_blocks(path, info):
+            for item in odd_blocks(path, info):
+                with open(parsed_ids, "a") as handle:
+                    handle.write(f"{min(item[2][0])}\n" if item[2] else "none\n")
+                yield item
+
+        monkeypatch.setattr(rio, "_odd_blocks", spied_odd_blocks)
+        tables = []
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            table = rio.read_scans(scans)
+            tables.append([table.frame_ids.tolist(), *self.table_bytes(table)[1:]])
+            assert_no_child_process()
+        assert tables[0] == tables[1]
+        assert tables[0][0] == [2**70 + i for i in range(len(lines))]
+        n_blocks, rest = 0, b""
+        with open(scans, "rb") as handle:
+            while (block := rio._next_lines(handle, rest))[0]:
+                n_blocks, rest = n_blocks + 1, block[1]
+        worker_ids = parsed_ids.read_text().split()
+        assert len(worker_ids) == n_blocks // 2 > 10
+        assert all(int(i) > 2**63 for i in worker_ids)
+
 
 class TestBench:
     def test_report_schema(self, workspace, capsys):
@@ -1048,6 +1128,69 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error: crop box half extent must be finite and positive\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--savgol-order", "-1", "polynomial order must be in [0, window), got -1"),
+            ("--val-span", "nan", "validation span must be positive, got nan"),
+        ],
+    )
+    def test_featurize_option_that_would_corrupt_the_dataset_is_usage(
+        self, workspace, tmp_path, capsys, flag, value, message
+    ):
+        # both exited 0: every target 0.0, or no training sample at all
+        scans = TestStreamedCommands.bad_file(tmp_path / "scans.txt", unsorted=None, bad_line=None)
+        out = tmp_path / "dataset.csv"
+        assert main([
+            "featurize", "--scans", str(scans), "--rain", str(workspace["rain"]),
+            "--out", str(out), "--duration", "1", flag, value,
+        ]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "0"])
+    def test_bad_gate_prior_is_usage(self, workspace, tmp_path, capsys, value):
+        out = tmp_path / "model.json"
+        assert main([
+            "train", "--dataset", str(workspace["dataset"]), "--out", str(out),
+            "--thresholds", "20,10,40", "--gate-prior", value,
+        ]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: prior precision must be finite and positive, got {float(value)}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    @pytest.mark.parametrize("flag", ["--margin", "--floor"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_margin_or_floor_is_usage(self, workspace, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "out.csv"
+        flags = {
+            "evaluate": ["--dataset", str(workspace["dataset"]), "--plot-data", str(out)],
+            "predict": ["--scans", str(workspace["scans"]), "--out", str(out)],
+        }[command]
+        assert main([command, "--model", str(workspace["model"]), *flags, flag, value]) == EXIT_USAGE
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
+        assert err.startswith("error: margin fraction and floor must be finite and non-negative")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "node, key, value",
+        [("gates", "mean", "nan"), ("experts", "mean", "nan"), ("standardization", "mean", "inf")],
+    )
+    def test_non_finite_model_number_is_io_error(self, workspace, tmp_path, capsys, node, key, value):
+        doc = json.loads(workspace["model"].read_text())
+        (doc[node][0] if node != "standardization" else doc[node])[key][0] = float(value)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        report = tmp_path / "report.json"
+        assert main([
+            "evaluate", "--model", str(model), "--dataset", str(workspace["dataset"]),
+            "--report", str(report),
+        ]) == EXIT_IO
+        assert capsys.readouterr().err.startswith(f"I/O error: {model}: non-finite number")
+        assert not report.exists()
 
     def test_no_command_prints_help(self, capsys):
         assert main([]) == EXIT_USAGE

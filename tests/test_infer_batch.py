@@ -207,6 +207,31 @@ class TestInputs:
         with pytest.raises(InvalidInputError, match="feature vector contains non-finite values"):
             infer_batch(model, X)
 
+    @pytest.mark.parametrize(
+        "margin, floor",
+        [(np.nan, 0.0), (np.inf, 0.0), (-0.1, 0.0), (0.05, np.nan), (0.05, np.inf), (0.05, -1.0)],
+    )
+    def test_margin_and_floor_must_be_finite_and_non_negative(self, margin, floor):
+        model = manual_model(0, [], [1.0])
+        with pytest.raises(
+            InvalidInputError, match="margin fraction and floor must be finite and non-negative"
+        ):
+            infer_batch(model, np.zeros((2, N_FEATURES)), margin, floor)
+
+    @pytest.mark.parametrize(
+        "field, values, message",
+        [
+            ("responsibilities", [np.nan, 0.5], "distribution"),
+            ("responsibilities", [np.nan, np.nan], "distribution"),
+            ("variances", [np.nan, 1.0], "variances must be positive"),
+        ],
+    )
+    def test_nan_component_rejected(self, field, values, message):
+        args = {"responsibilities": [0.5, 0.5], "means": [1.0, 2.0], "variances": [1.0, 1.0],
+                "point_estimate": 1.5, "error_probability": 0.5, field: values}
+        with pytest.raises(InvalidInputError, match=message):
+            MixturePrediction(**args)
+
     def test_not_a_matrix(self):
         model = manual_model(0, [], [1.0])
         with pytest.raises(InvalidInputError, match="2-d"):

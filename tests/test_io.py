@@ -3,6 +3,7 @@
 import contextlib
 import json
 import os
+import re
 import stat
 import tracemalloc
 
@@ -735,6 +736,43 @@ class TestModelFormat:
         assert all(
             e.keys() == {"basis", "mean", "covariance", "noise_precision"} for e in doc["experts"]
         )
+
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            (("gates", 0, "mean", 0), "nan"),
+            (("gates", 1, "covariance", 0, 1), "inf"),
+            (("experts", 1, "mean", 0), "nan"),
+            (("experts", 0, "noise_precision"), "inf"),
+            (("standardization", "mean", 2), "inf"),
+            (("standardization", "scale", 0), "-inf"),
+            (("spec", "thresholds", 1), "nan"),
+            (("spec", "expert_ranges", 3, 1), "inf"),
+        ],
+    )
+    def test_non_finite_number_rejected(self, tmp_path, where, value):
+        model, _ = self._model()
+        path = tmp_path / "model.json"
+        rio.save_model(path, model)
+        doc = json.loads(path.read_text())
+        node = doc
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = float(value)
+        # json writes the constants NaN, Infinity and -Infinity
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: non-finite number"):
+            rio.load_model(path)
+
+    def test_non_finite_metadata_loads(self, tmp_path):
+        # featurize --val-span inf keeps every sample as train, and the span
+        # reaches the model's metadata through the dataset config
+        model, _ = self._model()
+        model.metadata["dataset_config"] = {"val_span": float("inf")}
+        path = tmp_path / "model.json"
+        rio.save_model(path, model)
+        assert "Infinity" in path.read_text()
+        assert rio.load_model(path).metadata["dataset_config"]["val_span"] == float("inf")
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "bogus.json"

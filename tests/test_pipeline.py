@@ -111,6 +111,12 @@ class TestSavgol:
         with pytest.raises(InvalidInputError):
             savgol(np.arange(5.0), window=9)
 
+    @pytest.mark.parametrize("order", [-1, -2])
+    def test_negative_order_rejected(self, order):
+        # order -1 fitted no polynomial at all: every output value was 0.0
+        with pytest.raises(InvalidInputError, match=rf"order must be in \[0, window\), got {order}"):
+            savgol(np.full(20, 7.5), window=9, order=order)
+
 
 class TestSavgolOracle:
     """The numpy filter against scipy's ``savgol_filter(mode="interp")``."""
@@ -615,6 +621,17 @@ class TestSplitValidation:
         dataset = self._dataset(segment_seconds=50.0)
         with pytest.warns(UserWarning, match="kept as train"):
             out = split_validation(dataset, per_segment_val_span=20.0)
+        assert set(out.split_tags) == {"train"}
+
+    def test_span_must_be_positive(self):
+        dataset = self._dataset()
+        for span in (0.0, -5.0, np.nan, -np.inf):
+            with pytest.raises(InvalidInputError, match="validation span must be positive"):
+                split_validation(dataset, per_segment_val_span=span)
+
+    def test_infinite_span_keeps_every_sample_as_train(self):
+        with pytest.warns(UserWarning, match="kept as train"):
+            out = split_validation(self._dataset(), per_segment_val_span=np.inf)
         assert set(out.split_tags) == {"train"}
 
     def test_bad_tag_rejected(self):

@@ -249,6 +249,13 @@ class TestSolvePrecision:
 
 
 class TestFitVBLogistic:
+    @pytest.mark.parametrize("prior", [np.inf, np.nan, 0.0, -1.0])
+    def test_prior_precision_must_be_finite_and_positive(self, prior):
+        # an infinite prior made eigh fail to converge (LinAlgError)
+        Phi, t = design_matrix(np.arange(4.0)[:, None]), np.array([0.0, 0.0, 1.0, 1.0])
+        with pytest.raises(InvalidInputError, match="prior precision must be finite and positive"):
+            fit_vb_logistic(Phi, t, prior_precision=prior)
+
     def test_symmetric_data_kills_bias(self):
         x = np.array([-2.0, -1.0, 1.0, 2.0])
         t = (x > 0).astype(float)
@@ -368,6 +375,13 @@ class TestPredictGate:
 
 
 class TestFitVBLinear:
+    @pytest.mark.parametrize("name", ["a0", "b0", "beta_init"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 0.0])
+    def test_hyperparameters_must_be_finite_and_positive(self, name, value):
+        Phi = design_matrix(np.arange(4.0)[:, None])
+        with pytest.raises(InvalidInputError, match="hyperparameters must be finite and positive"):
+            fit_vb_linear(Phi, np.arange(4.0), **{name: value})
+
     def test_matches_ridge_oracle(self):
         # Effective regularization of the variational solution is
         # E[alpha]/beta; the closed-form ridge fit with that penalty must

@@ -213,24 +213,24 @@ def cmd_evaluate(args) -> int:
     if not dataset.samples:
         raise InvalidInputError("dataset is empty")
     thresholds = _parse_float_list(args.error_prob_thresholds)
-    pairs = predict_batch(
+    preds, targets = predict_batch(
         model, dataset.samples, margin_fraction=args.margin, error_floor=args.floor
     )
-    reports = {"overall": summarize_predictions(pairs, thresholds)}
+    reports = {"overall": summarize_predictions([(preds, targets)], thresholds)}
+    split_tags = np.array(dataset.split_tags)
     for tag in (SPLIT_TRAIN, SPLIT_VALIDATION):
-        tagged = [p for p, t in zip(pairs, dataset.split_tags) if t == tag]
-        if tagged:
-            reports[tag] = summarize_predictions(tagged, thresholds)
+        rows = split_tags == tag
+        if rows.any():
+            reports[tag] = summarize_predictions([(preds[rows], targets[rows])], thresholds)
     doc = {tag: rep.as_dict() for tag, rep in reports.items()}
     if args.report:
         rio.atomic_write_text(args.report, json.dumps(doc, indent=1, sort_keys=True) + "\n")
     if args.plot_data:
         buf = _stringio.StringIO()
         buf.write("target_mm_h,point_estimate_mm_h,error_probability,split\n")
-        for (pred, target), tag in zip(pairs, dataset.split_tags):
-            buf.write(
-                f"{target!r},{pred.point_estimate!r},{pred.error_probability!r},{tag}\n"
-            )
+        columns = targets.tolist(), preds.point_estimate.tolist(), preds.error_probability.tolist()
+        for target, point, error_prob, tag in zip(*columns, dataset.split_tags):
+            buf.write(f"{target!r},{point!r},{error_prob!r},{tag}\n")
         rio.atomic_write_text(args.plot_data, buf.getvalue())
     for tag, report in reports.items():
         print(_report_to_text(tag, report))

@@ -656,8 +656,11 @@ def load_model(path) -> MoEModel:
         raise FileFormatError(f"{path}: unsupported model version {version}")
 
     def finite(values) -> np.ndarray:
-        """Model numbers as a float array; JSON's NaN and Infinity are rejected."""
-        array = np.array(values, dtype=float)
+        """Model numbers as a float array; strings and JSON's NaN and Infinity are rejected."""
+        try:
+            array = np.array(values, dtype=float)
+        except ValueError as exc:
+            raise FileFormatError(f"{path}: non-number in the model parameters") from exc
         if not np.isfinite(array).all():
             raise FileFormatError(f"{path}: non-finite number in the model parameters")
         return array

@@ -17,7 +17,7 @@ and mixes the expert Gaussians into one predictive distribution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -63,8 +63,8 @@ class TreeSpec:
         n_gates = 2**self.depth - 1
         if len(self.thresholds) != n_gates:
             raise InvalidInputError(
-                f"depth {self.depth} requires {n_gates} thresholds, "
-                f"got {len(self.thresholds)}"
+                f"depth {self.depth} requires {n_gates} thresholds, got {len(self.thresholds)}; "
+                "quantile_thresholds derives them from training targets"
             )
         if len(self.expert_ranges) != 2**self.depth:
             raise InvalidInputError("expert range count must be 2**depth")
@@ -73,7 +73,7 @@ class TreeSpec:
             if lo != boundaries[-1]:
                 raise InvalidInputError("expert ranges must be contiguous")
             if not lo < hi:
-                raise InvalidInputError(f"empty expert range [{lo}, {hi})")
+                raise InvalidInputError(f"thresholds must increase in-order, got {lo} >= {hi}")
             boundaries.append(hi)
         if boundaries[0] < 0:
             raise InvalidInputError("expert ranges must start at or above 0")
@@ -125,28 +125,16 @@ def build_tree_spec(depth: int, y_range=(0.0, 80.0), thresholds=None) -> TreeSpe
 
     ``thresholds`` are heap-ordered (root first) and must be strictly
     increasing in in-order traversal; :func:`quantile_thresholds` derives
-    them from training targets. Only depth 0 may omit them.
+    them from training targets. Only depth 0 may omit them. :class:`TreeSpec`
+    checks the depth and the thresholds.
     """
     lo, hi = float(y_range[0]), float(y_range[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and 0 <= lo < hi):
         raise InvalidInputError("y range must satisfy 0 <= lo < hi")
-    if not 0 <= depth <= MAX_DEPTH:
-        raise InvalidInputError(f"depth must be in [0, {MAX_DEPTH}]")
-    n_gates = 2**depth - 1
-    thresholds = [float(h) for h in thresholds or ()]
-    if len(thresholds) != n_gates:
-        raise InvalidInputError(
-            f"depth {depth} requires {n_gates} thresholds, got {len(thresholds)}; "
-            "quantile_thresholds derives them from training targets"
-        )
+    thresholds = tuple(float(h) for h in thresholds or ())
     boundaries = [lo, *_inorder(thresholds), hi]
-    for a, b in zip(boundaries[:-1], boundaries[1:]):
-        if not a < b:
-            raise InvalidInputError(
-                f"thresholds not strictly increasing in-order: {a} >= {b}"
-            )
     ranges = tuple(zip(boundaries[:-1], boundaries[1:]))
-    return TreeSpec(depth=depth, thresholds=tuple(thresholds), expert_ranges=ranges)
+    return TreeSpec(depth=depth, thresholds=thresholds, expert_ranges=ranges)
 
 
 def quantile_thresholds(targets, depth: int, y_range=(0.0, 80.0)) -> list:
@@ -371,40 +359,53 @@ def train(samples, spec: TreeSpec, config: TrainConfig | None = None, seed: int 
 
 @dataclass(frozen=True)
 class MixturePrediction:
-    """Mixture-of-Gaussians predictive distribution for one input.
+    """Mixture-of-Gaussians predictive distributions for one input or a batch of N.
 
-    ``responsibilities[m]`` is the probability mass routed to expert m;
-    ``means``/``variances`` are the expert Gaussians; ``point_estimate`` is
-    the mixture mean; ``error_probability`` is the mass outside the +/-
-    margin band around the point estimate.
+    ``responsibilities[..., m]`` is the probability mass routed to expert m;
+    ``means``/``variances`` are the expert Gaussians, each (M,) or (N, M);
+    ``point_estimate`` is the mixture mean and ``error_probability`` the mass
+    outside the +/- margin band around it, each a float or (N,). A batch has
+    ``len`` N; ``batch[i]`` is row i as one prediction, and a slice, index
+    list or boolean mask gives a sub-batch.
     """
 
     responsibilities: np.ndarray
     means: np.ndarray
     variances: np.ndarray
-    point_estimate: float
-    error_probability: float
+    point_estimate: float | np.ndarray
+    error_probability: float | np.ndarray
 
     def __post_init__(self):
-        resp = np.asarray(self.responsibilities, dtype=float).reshape(-1)
-        means = np.asarray(self.means, dtype=float).reshape(-1)
-        variances = np.asarray(self.variances, dtype=float).reshape(-1)
-        if not (resp.size == means.size == variances.size >= 1):
+        resp, means, variances, points, error_probs = (
+            np.asarray(getattr(self, f.name), dtype=float) for f in fields(self)
+        )
+        if points.ndim == 0:  # one input: (M,) components
+            resp, means, variances = resp.reshape(-1), means.reshape(-1), variances.reshape(-1)
+        if not (resp.shape == means.shape == variances.shape and resp.ndim and resp.shape[-1] >= 1):
             raise InvalidInputError("component arrays must have equal nonzero length")
+        if not resp.shape[:-1] == points.shape == error_probs.shape:
+            raise InvalidInputError("point estimates and error probabilities must be one per row")
         # Written so that a NaN fails each test.
-        if not (abs(resp.sum() - 1.0) <= 1e-9 and np.all(resp >= 0)):
+        if not ((np.abs(resp.sum(axis=-1) - 1.0) <= 1e-9).all() and (resp >= 0).all()):
             raise InvalidInputError("responsibilities must be a distribution (sum 1)")
-        if not np.all(variances > 0):
+        if not (variances > 0).all():
             raise InvalidInputError("component variances must be positive")
-        if not 0.0 <= self.error_probability <= 1.0:
+        if not ((error_probs >= 0.0) & (error_probs <= 1.0)).all():
             raise InvalidInputError("error probability must be in [0, 1]")
-        object.__setattr__(self, "responsibilities", resp)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "variances", variances)
+        if points.ndim == 0:
+            points, error_probs = float(points), float(error_probs)
+        for f, value in zip(fields(self), (resp, means, variances, points, error_probs)):
+            object.__setattr__(self, f.name, value)
 
     @property
     def n_components(self) -> int:
-        return self.responsibilities.size
+        return self.responsibilities.shape[-1]
+
+    def __len__(self) -> int:
+        return len(self.point_estimate)
+
+    def __getitem__(self, index) -> MixturePrediction:
+        return MixturePrediction(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
 def _responsibilities(gate_probs, depth: int) -> np.ndarray:
@@ -417,7 +418,7 @@ def _responsibilities(gate_probs, depth: int) -> np.ndarray:
     for level in range(depth):
         p = probs[..., 2**level - 1 : 2 ** (level + 1) - 1]
         # Leaf prefix i splits into children 2i (gate False) and 2i + 1 (True).
-        resp = np.stack([resp * (1.0 - p), resp * p], axis=-1).reshape(probs.shape[:-1] + (-1,))
+        resp = np.stack([resp * (1.0 - p), resp * p], -1).reshape(*probs.shape[:-1], 2 << level)
     return resp
 
 
@@ -456,15 +457,16 @@ def infer_batch(
     X,
     margin_fraction: float = 0.05,
     error_floor: float = 0.0,
-) -> list:
+) -> MixturePrediction:
     """Predictive mixtures for raw (unstandardized) feature rows X (N, n_features).
 
-    Returns one :class:`MixturePrediction` per row; an empty batch gives [].
-    ``margin_fraction`` sets the +/- band of the error probability relative
-    to the point estimate; ``error_floor`` optionally enforces a minimum
-    absolute band half-width (0 disables it), so with the default floor a
-    zero point estimate has error probability 1. Each row's result is
-    bit-identical whatever batch it is in.
+    Returns one :class:`MixturePrediction` batch of N rows, checked once;
+    ``batch[i]`` is what :func:`infer` gives for row i, and an empty input
+    gives an empty batch. ``margin_fraction`` sets the +/- band of the error
+    probability relative to the point estimate; ``error_floor`` optionally
+    enforces a minimum absolute band half-width (0 disables it), so with the
+    default floor a zero point estimate has error probability 1. Each row's
+    result is bit-identical whatever batch it is in.
     """
     if not all(math.isfinite(v) and v >= 0 for v in (margin_fraction, error_floor)):
         raise InvalidInputError(
@@ -473,7 +475,7 @@ def infer_batch(
         )
     X = np.asarray(X, dtype=float)
     if X.shape[:1] == (0,):
-        return []
+        X = X.reshape(0, model.n_features)
     if X.ndim != 2:
         raise InvalidInputError("expected a 2-d feature matrix, one row per sample")
     if X.shape[1] != model.n_features:
@@ -486,10 +488,7 @@ def infer_batch(
     points = np.einsum("nm,nm->n", resp, means)
     half_widths = np.maximum(margin_fraction * np.abs(points), error_floor)
     error_probs = _band_error_probability(resp, means, variances, points, half_widths)
-    return [
-        MixturePrediction(*row)
-        for row in zip(resp, means, variances, points.tolist(), error_probs.tolist())
-    ]
+    return MixturePrediction(resp, means, variances, points, error_probs)
 
 
 def infer(
@@ -504,35 +503,18 @@ def infer(
 
 
 def mixture_density(pred: MixturePrediction, y):
-    """Mixture probability density sum_m P_m Normal(y | mu_m, var_m)."""
-    y_arr = np.asarray(y, dtype=float)
-    z = (y_arr[..., None] - pred.means) / np.sqrt(pred.variances)
+    """Mixture probability density sum_m P_m Normal(y | mu_m, var_m); a batch takes one y a row."""
+    z = (np.asarray(y, dtype=float)[..., None] - pred.means) / np.sqrt(pred.variances)
     pdf = np.exp(-0.5 * z**2) / np.sqrt(2.0 * np.pi * pred.variances)
-    out = pdf @ pred.responsibilities
-    return float(out) if np.ndim(y) == 0 else out
+    out = np.einsum("...m,...m->...", pdf, pred.responsibilities)
+    return float(out) if out.ndim == 0 else out
 
 
 def mixture_cdf(pred: MixturePrediction, y):
-    """Mixture cumulative distribution sum_m P_m Phi((y - mu_m) / sd_m)."""
-    y_arr = np.asarray(y, dtype=float)
-    z = (y_arr[..., None] - pred.means) / np.sqrt(pred.variances)
-    out = _ndtr(z) @ pred.responsibilities
-    return float(out) if np.ndim(y) == 0 else out
-
-
-def filter_by_uncertainty(predictions, threshold: float) -> tuple:
-    """Keep (prediction, target) pairs with error probability below threshold.
-
-    Returns (retained pairs, retention fraction); retention is None for
-    empty input.
-    """
-    if not 0.0 < threshold <= 1.0:
-        raise InvalidInputError("threshold must be in (0, 1]")
-    pairs = list(predictions)
-    if not pairs:
-        return [], None
-    kept = [(p, t) for p, t in pairs if p.error_probability < threshold]
-    return kept, len(kept) / len(pairs)
+    """Mixture distribution function sum_m P_m Phi((y - mu_m) / sd_m); y as for the density."""
+    z = (np.asarray(y, dtype=float)[..., None] - pred.means) / np.sqrt(pred.variances)
+    out = np.einsum("...m,...m->...", _ndtr(z), pred.responsibilities)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -555,16 +537,6 @@ class EvaluationReport:
     mean_error_probability: float
     filtered: tuple
 
-    def __post_init__(self):
-        first = {}
-        for f in self.filtered:
-            other = first.setdefault(f.tag, f)
-            if other is not f:
-                raise InvalidInputError(
-                    f"error-probability thresholds {other.threshold} and {f.threshold} "
-                    f"share the report key suffix {f.tag}"
-                )
-
     def as_dict(self) -> dict:
         out = {
             "n_samples": self.n_samples,
@@ -583,29 +555,44 @@ def _rmse(errors: np.ndarray) -> float:
 
 
 def summarize_predictions(pairs, thresholds=(0.25, 0.10)) -> EvaluationReport:
-    """Accuracy and retention metrics from (prediction, target) pairs."""
-    pairs = list(pairs)
-    if not pairs:
-        raise InvalidInputError("no predictions to summarize")
-    errors = np.array([p.point_estimate - t for p, t in pairs])
-    eps = np.array([p.error_probability for p, t in pairs])
-    filtered = []
-    for threshold in thresholds:
-        kept, retention = filter_by_uncertainty(pairs, threshold)
-        rmse = _rmse(np.array([p.point_estimate - t for p, t in kept])) if kept else None
-        filtered.append(
-            FilteredMetrics(
-                threshold=float(threshold),
-                rmse=rmse,
-                retention=float(retention),
-                n_retained=len(kept),
+    """Accuracy and retention metrics over the rows of (prediction, target) pairs.
+
+    A pair is one prediction and its float target, or a batch and an array
+    of as many targets. A threshold in (0, 1] retains the rows whose error
+    probability is below it; each is reported under its whole percent.
+    """
+    points, targets, error_probs = [], [], []
+    for pred, target in pairs:
+        if np.shape(target) != np.shape(pred.point_estimate):
+            raise InvalidInputError(
+                f"target shape {np.shape(target)} does not match prediction shape "
+                f"{np.shape(pred.point_estimate)}"
             )
-        )
+        points.append(np.ravel(pred.point_estimate))
+        targets.append(np.ravel(target))
+        error_probs.append(np.ravel(pred.error_probability))
+    if not sum(map(len, points)):
+        raise InvalidInputError("no predictions to summarize")
+    errors = np.concatenate(points) - np.concatenate(targets)
+    eps = np.concatenate(error_probs)
+    filtered = {}
+    for threshold in thresholds:
+        if not 0.0 < threshold <= 1.0:
+            raise InvalidInputError("threshold must be in (0, 1]")
+        kept = eps < threshold
+        n = int(kept.sum())
+        f = FilteredMetrics(float(threshold), _rmse(errors[kept]) if n else None, n / eps.size, n)
+        other = filtered.setdefault(f.tag, f)
+        if other is not f:
+            raise InvalidInputError(
+                f"error-probability thresholds {other.threshold} and {f.threshold} "
+                f"share the report key suffix {f.tag}"
+            )
     return EvaluationReport(
-        n_samples=len(pairs),
+        n_samples=eps.size,
         rmse_all=_rmse(errors),
         mean_error_probability=float(eps.mean()),
-        filtered=tuple(filtered),
+        filtered=tuple(filtered.values()),
     )
 
 
@@ -614,13 +601,13 @@ def predict_batch(
     samples,
     margin_fraction: float = 0.05,
     error_floor: float = 0.0,
-) -> list:
-    """One :func:`infer_batch` over window samples, returning (prediction, target) pairs."""
+) -> tuple:
+    """One :func:`infer_batch` over window samples: the batch and a float array of its targets."""
     samples = list(samples)
     predictions = infer_batch(
         model, [s.features for s in samples], margin_fraction, error_floor
     )
-    return [(p, float(s.target)) for p, s in zip(predictions, samples)]
+    return predictions, np.array([float(s.target) for s in samples])
 
 
 def evaluate(
@@ -634,5 +621,5 @@ def evaluate(
     samples = list(samples)
     if not samples:
         raise InvalidInputError("evaluation dataset is empty")
-    pairs = predict_batch(model, samples, margin_fraction, error_floor)
-    return summarize_predictions(pairs, thresholds)
+    batch = predict_batch(model, samples, margin_fraction, error_floor)
+    return summarize_predictions([batch], thresholds)

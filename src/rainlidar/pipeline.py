@@ -95,6 +95,13 @@ def segment_spans(series: RainSeries) -> list:
     ]
 
 
+def _check_savgol(window: int, order: int) -> None:
+    if window < 1 or window % 2 == 0:
+        raise InvalidInputError("window must be a positive odd integer")
+    if not 0 <= order < window:
+        raise InvalidInputError(f"polynomial order must be in [0, window), got {order}")
+
+
 def savgol(series, window: int = DEFAULT_SAVGOL_WINDOW, order: int = DEFAULT_SAVGOL_ORDER):
     """Savitzky-Golay smoothing of a 1-d series, by numpy least squares.
 
@@ -107,10 +114,7 @@ def savgol(series, window: int = DEFAULT_SAVGOL_WINDOW, order: int = DEFAULT_SAV
     at offset i - h.
     """
     y = np.asarray(series, dtype=float)
-    if window < 1 or window % 2 == 0:
-        raise InvalidInputError("window must be a positive odd integer")
-    if not 0 <= order < window:
-        raise InvalidInputError(f"polynomial order must be in [0, window), got {order}")
+    _check_savgol(window, order)
     if y.ndim != 1 or y.size < window:
         raise InvalidInputError("series must be 1-d and at least window long")
     if not np.all(np.isfinite(y)):
@@ -160,7 +164,9 @@ def preprocess(
     Filtering runs per segment so smoothing never mixes rainfall regimes;
     with the default parameters the trim removes every point a whole-series
     filter would have computed differently. Overshoot below zero is clipped.
+    The filter options are checked even when no segment is long enough to use them.
     """
+    _check_savgol(window, order)
     filtered = series.rates.copy()
     for sid, sl in iter_segments(series):
         seg = series.rates[sl]
@@ -401,10 +407,11 @@ class StreamingPredictor:
     :class:`WindowStream` (``windows``), with its memory bound. push and
     close return ``(time, MixturePrediction)`` for the emissions that they
     decide, in time order: an emission is returned by the first push whose
-    last scan reaches its time. The predictions come from
-    :func:`infer_batch` with ``margin_fraction`` and ``error_floor``; a row
-    does not depend on its batch, so they equal those of one batch over the
-    whole stream.
+    last scan reaches its time. Each call runs one :func:`infer_batch`, with
+    ``margin_fraction`` and ``error_floor``, over the windows that it decides,
+    and pairs each window end with its row of the batch. A row does not
+    depend on its batch, so the predictions equal those of one batch over
+    the whole stream.
     """
 
     def __init__(
@@ -429,6 +436,8 @@ class StreamingPredictor:
         return self._infer(self.windows.close())
 
     def _infer(self, windows: list) -> list:
+        if not windows:  # most small pushes decide none
+            return []
         preds = infer_batch(
             self.model, [v for *_, v in windows], self.margin_fraction, self.error_floor
         )

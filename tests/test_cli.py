@@ -490,6 +490,17 @@ class TestEvaluate:
         assert "share the report key suffix 10" in capsys.readouterr().err
         assert not report.exists()
 
+    @pytest.mark.parametrize("value", ["0", "nan", "1.5", "-0.1"])
+    def test_threshold_outside_unit_interval_is_usage_error(self, workspace, tmp_path, capsys, value):
+        report, plot = tmp_path / "report.json", tmp_path / "plot.csv"
+        code = main([
+            "evaluate", "--model", str(workspace["model"]), "--dataset", str(workspace["dataset"]),
+            "--report", str(report), "--plot-data", str(plot), "--error-prob-thresholds", value,
+        ])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: threshold must be in (0, 1]\n"
+        assert not report.exists() and not plot.exists()
+
     def test_unknown_model_version_is_io_error(self, workspace, tmp_path, capsys):
         doc = json.loads(workspace["model"].read_text())
         doc["version"] = 3
@@ -1149,6 +1160,28 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--savgol-window", "1000"], "window must be a positive odd integer"),
+            (["--savgol-window", "1001", "--savgol-order", "1001"],
+             "polynomial order must be in [0, window), got 1001"),
+        ],
+    )
+    def test_bad_filter_longer_than_every_segment_is_usage(
+        self, workspace, tmp_path, capsys, flags, message
+    ):
+        # Every segment is shorter than the window, so none is filtered; the
+        # options are checked all the same.
+        assert len(rio.read_disdrometer(workspace["rain"])) < 1000
+        out = tmp_path / "dataset.csv"
+        assert main([
+            "featurize", "--scans", str(workspace["scans"]), "--rain", str(workspace["rain"]),
+            "--out", str(out), *flags,
+        ]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["inf", "nan", "0"])
     def test_bad_gate_prior_is_usage(self, workspace, tmp_path, capsys, value):
         out = tmp_path / "model.json"
@@ -1190,6 +1223,21 @@ class TestExitCodes:
             "--report", str(report),
         ]) == EXIT_IO
         assert capsys.readouterr().err.startswith(f"I/O error: {model}: non-finite number")
+        assert not report.exists()
+
+    @pytest.mark.parametrize("node, key", [("gates", "mean"), ("experts", "covariance")])
+    def test_string_model_number_is_io_error(self, workspace, tmp_path, capsys, node, key):
+        doc = json.loads(workspace["model"].read_text())
+        values = doc[node][0][key]
+        (values[0] if isinstance(values[0], list) else values)[0] = "a"
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        report = tmp_path / "report.json"
+        assert main([
+            "evaluate", "--model", str(model), "--dataset", str(workspace["dataset"]),
+            "--report", str(report),
+        ]) == EXIT_IO
+        assert capsys.readouterr().err == f"I/O error: {model}: non-number in the model parameters\n"
         assert not report.exists()
 
     def test_no_command_prints_help(self, capsys):

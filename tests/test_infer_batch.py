@@ -17,8 +17,11 @@ from rainlidar.moe import (
     build_tree_spec,
     infer,
     infer_batch,
+    mixture_cdf,
+    mixture_density,
     predict_batch,
     quantile_thresholds,
+    summarize_predictions,
     train,
 )
 from rainlidar.vblearn import BasisConfig, GatePosterior, _expit
@@ -182,18 +185,21 @@ class TestRowIndependence:
     def test_predict_batch_is_one_batch(self):
         model, _ = trained_model(2)
         samples = make_samples(np.linspace(2.0, 70.0, 9), seed=5)
-        pairs = predict_batch(model, samples)
+        preds, targets = predict_batch(model, samples)
         want = infer_batch(model, [s.features for s in samples])
-        assert [t for _, t in pairs] == [s.target for s in samples]
-        assert [p.point_estimate for p, _ in pairs] == [p.point_estimate for p in want]
-        assert predict_batch(model, []) == []
+        assert targets.tolist() == [s.target for s in samples]
+        np.testing.assert_array_equal(preds.point_estimate, want.point_estimate)
+        preds, targets = predict_batch(model, [])
+        assert len(preds) == 0 and targets.shape == (0,)
 
 
 class TestInputs:
     def test_empty_batch(self):
         model = manual_model(2, [0.5, 0.5, 0.5], [1.0, 2.0, 3.0, 4.0])
-        assert infer_batch(model, np.empty((0, N_FEATURES))) == []
-        assert infer_batch(model, []) == []
+        for X in (np.empty((0, N_FEATURES)), []):
+            batch = infer_batch(model, X)
+            assert len(batch) == 0 and list(batch) == []
+            assert batch.responsibilities.shape == batch.means.shape == (0, 4)
 
     def test_dimension_mismatch_names_both(self):
         model = manual_model(0, [], [1.0])
@@ -258,3 +264,109 @@ class TestInputs:
         np.testing.assert_array_equal(low.responsibilities, [1.0, 0.0])
         np.testing.assert_array_equal(high.responsibilities, [0.0, 1.0])
         assert math.isclose(low.point_estimate, 10.0) and math.isclose(high.point_estimate, 50.0)
+
+
+class TestBatch:
+    """One :class:`MixturePrediction` holds the whole batch and is checked once."""
+
+    def test_rows_and_masks_agree_with_infer(self, model_and_rows):
+        model, X = model_and_rows
+        batch = infer_batch(model, X)
+        mask = batch.point_estimate > np.median(batch.point_estimate)
+        for sub, rows in ((batch, np.arange(len(X))), (batch[mask], np.flatnonzero(mask)),
+                          (batch[1::3], np.arange(len(X))[1::3])):
+            assert len(sub) == len(rows)
+            for j, i in enumerate(rows.tolist()):
+                got, want = sub[j], infer(model, X[i])
+                assert type(got.point_estimate) is float and type(got.error_probability) is float
+                assert repr(got.point_estimate) == repr(want.point_estimate)
+                assert repr(got.error_probability) == repr(want.error_probability)
+                for name in ("responsibilities", "means", "variances"):
+                    np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert repr(batch[-1].point_estimate) == repr(infer(model, X[-1]).point_estimate)
+        with pytest.raises(IndexError):
+            batch[len(X)]
+
+    def test_one_prediction_is_not_a_batch(self):
+        pred = infer(manual_model(1, [0.5], [1.0, 2.0]), np.zeros(N_FEATURES))
+        with pytest.raises(TypeError):
+            len(pred)
+        with pytest.raises(TypeError):
+            pred[0]
+
+    def test_batch_summary_equals_row_summary(self, model_and_rows):
+        model, X = model_and_rows
+        batch = infer_batch(model, X)
+        targets = np.random.default_rng(2).uniform(0.0, 80.0, len(X))
+        thresholds = (0.9, 0.5, 0.25, 0.10)
+        got = summarize_predictions([(batch, targets)], thresholds)
+        want = summarize_predictions(list(zip(batch, targets.tolist())), thresholds)
+        assert got == want
+        assert got.as_dict() == want.as_dict()
+        # split into sub-batches, as evaluate's train and validation reports are
+        half = np.arange(len(X)) % 2 == 0
+        parts = [(batch[half], targets[half]), (batch[~half], targets[~half])]
+        merged = summarize_predictions(parts, thresholds).as_dict()
+        assert merged["n_samples"] == len(X)
+        assert [merged[f"n_retained_{t}"] for t in (90, 50, 25, 10)] == [
+            got.as_dict()[f"n_retained_{t}"] for t in (90, 50, 25, 10)
+        ]
+
+    @pytest.mark.parametrize("n_targets", [0, 5, 7])
+    def test_target_count_must_match(self, n_targets):
+        model, X = trained_model(1)
+        batch = infer_batch(model, X[:6])
+        with pytest.raises(InvalidInputError, match="does not match prediction shape"):
+            summarize_predictions([(batch, np.ones(n_targets))])
+
+    def test_scalar_target_is_not_broadcast(self):
+        model, X = trained_model(1)
+        with pytest.raises(InvalidInputError, match="does not match prediction shape"):
+            summarize_predictions([(infer_batch(model, X[:6]), 10.0)])
+        with pytest.raises(InvalidInputError, match="does not match prediction shape"):
+            summarize_predictions([(infer(model, X[0]), [10.0])])
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("responsibilities", np.nan, "distribution"),
+            ("responsibilities", -0.25, "distribution"),
+            ("variances", 0.0, "variances must be positive"),
+            ("variances", -1.0, "variances must be positive"),
+            ("variances", np.nan, "variances must be positive"),
+            ("error_probability", 1.5, r"error probability must be in \[0, 1\]"),
+            ("error_probability", np.nan, r"error probability must be in \[0, 1\]"),
+        ],
+    )
+    def test_bad_middle_row_rejected(self, field, value, message):
+        model, X = trained_model(2)
+        good = infer_batch(model, X[:5])
+        arrays = {name: np.array(getattr(good, name)) for name in (
+            "responsibilities", "means", "variances", "point_estimate", "error_probability"
+        )}
+        MixturePrediction(**arrays)  # the copy itself is valid
+        if arrays[field].ndim == 2:
+            arrays[field][2, 1] = value
+        else:
+            arrays[field][2] = value
+        with pytest.raises(InvalidInputError, match=message):
+            MixturePrediction(**arrays)
+
+    def test_one_estimate_per_row(self):
+        model, X = trained_model(2)
+        good = infer_batch(model, X[:5])
+        with pytest.raises(InvalidInputError, match="one per row"):
+            MixturePrediction(
+                good.responsibilities, good.means, good.variances,
+                good.point_estimate[:4], good.error_probability[:4],
+            )
+
+    def test_mixture_functions_take_one_y_per_row(self, model_and_rows):
+        model, X = model_and_rows
+        batch = infer_batch(model, X)
+        y = np.linspace(0.0, 80.0, len(X))
+        cdf, density = mixture_cdf(batch, y), mixture_density(batch, y)
+        assert cdf.shape == density.shape == (len(X),)
+        for i in range(len(X)):
+            assert cdf[i] == pytest.approx(mixture_cdf(batch[i], y[i]), rel=1e-14, abs=1e-300)
+            assert density[i] == pytest.approx(mixture_density(batch[i], y[i]), rel=1e-14, abs=1e-300)

@@ -14,7 +14,6 @@ from rainlidar.moe import (
     _ndtr,
     build_tree_spec,
     evaluate,
-    filter_by_uncertainty,
     infer,
     mixture_cdf,
     mixture_density,
@@ -519,22 +518,24 @@ class TestErrorProbability:
 class TestFilterAndMetrics:
     def test_threshold_one_keeps_all(self):
         preds = [(make_prediction([1.0], [50.0], [1.0]), 50.0) for _ in range(5)]
-        kept, retention = filter_by_uncertainty(preds, 1.0)
-        assert len(kept) == 5 and retention == 1.0
+        (kept,) = summarize_predictions(preds, thresholds=(1.0,)).filtered
+        assert kept.n_retained == 5 and kept.retention == 1.0
 
     def test_all_uncertain_drops_all(self):
         pred = make_prediction([1.0], [10.0], [400.0])
         assert pred.error_probability > 0.25
-        kept, retention = filter_by_uncertainty([(pred, 10.0)] * 4, 0.25)
-        assert kept == [] and retention == 0.0
+        (kept,) = summarize_predictions([(pred, 10.0)] * 4, thresholds=(0.25,)).filtered
+        assert kept.n_retained == 0 and kept.retention == 0.0 and kept.rmse is None
 
     def test_empty_input(self):
-        kept, retention = filter_by_uncertainty([], 0.5)
-        assert kept == [] and retention is None
+        with pytest.raises(InvalidInputError, match="no predictions to summarize"):
+            summarize_predictions([], thresholds=(0.5,))
 
     def test_bad_threshold(self):
-        with pytest.raises(InvalidInputError):
-            filter_by_uncertainty([], 0.0)
+        pairs = [(make_prediction([1.0], [50.0], [1.0]), 50.0)]
+        for threshold in (0.0, -0.1, 1.5, np.nan):
+            with pytest.raises(InvalidInputError, match=r"threshold must be in \(0, 1\]"):
+                summarize_predictions(pairs, thresholds=(threshold,))
 
     def test_perfect_predictor_stub(self):
         pairs = [(make_prediction([1.0], [y], [1e-12]), y) for y in (5.0, 20.0, 60.0)]

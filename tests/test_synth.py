@@ -334,7 +334,7 @@ class TestSeedSevenSession:
         from rainlidar.moe import predict_batch, summarize_predictions
 
         dataset, model = session_model
-        report = summarize_predictions(predict_batch(model, dataset.samples))
+        report = summarize_predictions([predict_batch(model, dataset.samples)])
         filtered = report.filtered[0]
         assert filtered.threshold == 0.25
         assert filtered.rmse is not None

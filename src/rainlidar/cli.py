@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import io as _stringio
-import itertools
 import json
 import sys
 import time
@@ -39,7 +38,6 @@ from .pipeline import (
     DEFAULT_VALIDATION_SPAN,
     SPLIT_TRAIN,
     SPLIT_VALIDATION,
-    Dataset,
     StreamingPredictor,
     assemble_dataset,
     make_windows,
@@ -130,18 +128,11 @@ def cmd_featurize(args) -> int:
         "val_span": args.val_span,
         "session_id": args.session_id,
     }
-    blocks = rio.read_scan_blocks(args.scans)
-    first = next(blocks, None)
-    if first is None:
-        dataset = Dataset(samples=[], split_tags=[], config=config, segment_spans=[])
-        rio.write_dataset(args.out, dataset)
-        print("featurize: warning: empty scan file; wrote empty dataset", file=sys.stderr)
-        return EXIT_OK
     filtered = preprocess(
         series, window=args.savgol_window, order=args.savgol_order, n_cut=args.trim
     )
     result = make_windows(
-        itertools.chain([first], blocks),
+        rio.read_scan_blocks(args.scans),
         duration=args.duration,
         box=CropBox(args.box),
         series=filtered,
@@ -152,6 +143,8 @@ def cmd_featurize(args) -> int:
     dataset = assemble_dataset(result, filtered, config)
     dataset = split_validation(dataset, per_segment_val_span=args.val_span)
     rio.write_dataset(args.out, dataset)
+    if not result.n_scans:
+        print("featurize: warning: empty scan file; wrote empty dataset", file=sys.stderr)
     n_val = sum(1 for t in dataset.split_tags if t == SPLIT_VALIDATION)
     print(
         f"featurize: {result.n_windows} windows -> {len(dataset)} samples "

@@ -7,14 +7,15 @@ Scan records (one scan per line, space separated)::
 
     frame_id timestamp x y z intensity [x y z intensity ...]
 
-are written from any iterable of scans and read as
-:class:`~rainlidar.features.ScanTable` blocks of whole lines, both a block
-of lines at a time, so neither holds more than a block of text;
-:func:`read_scans` joins the blocks into one table, every point in one
-buffer. :func:`rainlidar.synth.write_session_scans` writes a synthetic
-session's scans; it formats each block with :func:`_scan_block_text`, as
-:func:`write_scans` does, so this module alone owns the line layout and
-both give the same bytes for the same scans. A block of single-spaced
+are written and read as :class:`~rainlidar.features.ScanTable` blocks
+of whole lines, a block of lines at a time, so neither holds more than a
+block of text. :func:`write_scans` gathers any iterable of scans into
+blocks, and :func:`rainlidar.synth.write_session_scans` draws a synthetic
+session's scans as blocks; both format each block with
+:func:`_scan_block_text`, so this module alone owns the line layout and
+both give the same bytes for the same scans. :func:`read_scans` joins the
+reader's blocks with :meth:`ScanTable.concat`, so it holds the blocks and
+their join at once, about twice the points. A block of single-spaced
 ASCII lines with finite values is parsed by one C-level ``np.fromstring``
 pass; any other block goes line by line through ``int`` and ``float``,
 which decide what a malformed file is: its first bad line is reported as
@@ -130,20 +131,20 @@ SCAN_BLOCK_BYTES = 1 << 19
 _MAX_VALUE_BYTES = 25
 
 
-def _scan_block_text(frame_ids, timestamps, counts, points: np.ndarray) -> str:
-    """The lines of a block of scans, each ended by a newline.
+def _scan_block_text(block: ScanTable) -> str:
+    """The lines of a :class:`ScanTable` of scans, each ended by a newline.
 
-    Scan i has the int ``frame_ids[i]``, the float ``timestamps[i]`` and
-    the next ``counts[i]`` rows of the (N, 4) ``points`` (x, y, z,
-    intensity); a line is the id, the timestamp and the point values in
-    row order, the floats rendered by ``repr``.
+    A line is the scan's frame id, its timestamp and its points' x, y, z
+    and intensity in row order, the floats rendered by ``repr``.
     """
-    values = points.ravel().tolist()
-    lines, at = [], 0
-    for frame_id, timestamp, count in zip(frame_ids, timestamps, counts):
-        stop = at + 4 * count
-        lines.append(" ".join([str(frame_id), repr(timestamp), *map(repr, values[at:stop])]))
-        at = stop
+    values = np.column_stack((block.xyz, block.intensity)).ravel().tolist()
+    bounds = (4 * block.offsets).tolist()
+    lines = [
+        " ".join([str(frame_id), repr(timestamp), *map(repr, values[a:b])])
+        for frame_id, timestamp, a, b in zip(
+            block.frame_ids.tolist(), block.timestamps.tolist(), bounds, bounds[1:]
+        )
+    ]
     lines.append("")
     return "\n".join(lines)
 
@@ -153,8 +154,9 @@ def write_scans(path, scans) -> int:
     scan file, atomically; return the number of scans written.
 
     The scans are taken a block at a time, as many as SCAN_BLOCK_BYTES
-    holds at the longest value, then formatted and written, so at most
-    one block of scans and its lines are held at once.
+    holds at the longest value, then joined into one :class:`ScanTable`,
+    formatted and written, so at most one block of scans and its lines
+    are held at once.
     """
     scans = iter(scans)
     n_scans = 0
@@ -168,15 +170,7 @@ def write_scans(path, scans) -> int:
                     break
             if not block:
                 return n_scans
-            points = np.concatenate([np.column_stack((scan.xyz, scan.intensity)) for scan in block])
-            handle.write(
-                _scan_block_text(
-                    [int(scan.frame_id) for scan in block],
-                    [float(scan.timestamp) for scan in block],
-                    [scan.n_points for scan in block],
-                    points,
-                )
-            )
+            handle.write(_scan_block_text(ScanTable.from_scans(block)))
             n_scans += len(block)
 
 
@@ -365,7 +359,7 @@ def _send_blocks(results, write_fd) -> None:
 
 def read_scans(path) -> ScanTable:
     """Read a scan file into a :class:`ScanTable`: the blocks of
-    :func:`read_scan_blocks`, joined.
+    :func:`read_scan_blocks`, joined by :meth:`ScanTable.concat`.
 
     Blank lines are skipped. A line with a field count other than 2 + 4k, a
     token that ``int`` (frame id) or ``float`` rejects, raises
@@ -373,32 +367,7 @@ def read_scans(path) -> ScanTable:
     negative intensity raises InvalidInputError. The first bad line of the
     file decides which.
     """
-    # Seeded so that the offsets start at 0 and an empty file gives an empty table.
-    frame_ids, timestamps, counts = [np.empty(0, dtype=np.int64)], [np.empty(0)], [[0]]
-    filled = 0
-    # Every value takes at least 2 bytes, so a point at least 8: one buffer
-    # this large holds every point, and the pages that no point reaches are
-    # never touched.
-    points = np.empty((os.stat(path).st_size // 8 + 1, 4))
-    for block in read_scan_blocks(path):
-        n = block.xyz.shape[0]
-        if filled + n > len(points):  # the file grew while read
-            points.resize((2 * (filled + n), 4), refcheck=False)
-        points[filled : filled + n, :3] = block.xyz
-        points[filled : filled + n, 3] = block.intensity
-        filled += n
-        frame_ids.append(block.frame_ids)
-        timestamps.append(block.timestamps)
-        counts.append(np.diff(block.offsets))
-    # In place: realloc returns the untouched tail without a copy of the rest.
-    points.resize((filled, 4), refcheck=False)
-    return ScanTable._trusted(
-        _id_array(np.concatenate(frame_ids)),
-        np.concatenate(timestamps),
-        np.cumsum(np.concatenate(counts)),
-        points[:, :3],
-        points[:, 3],
-    )
+    return ScanTable.concat(read_scan_blocks(path))
 
 
 def _parse_block(data: bytes):

@@ -244,9 +244,10 @@ class WindowStream:
     points held at once; ``t0`` and ``last`` are the first and last scan
     times pushed, None before the first.
 
-    A scan earlier than the one before it is recorded, after which push
-    ignores its scans and close raises InvalidInputError: a reader can go
-    on to the end of its file, whose malformed lines take precedence.
+    A scan earlier than the one before it, or with a non-finite timestamp,
+    is recorded, after which push ignores its scans and close raises
+    InvalidInputError: a reader can go on to the end of its file, whose
+    malformed lines take precedence.
     """
 
     def __init__(
@@ -278,7 +279,9 @@ class WindowStream:
         if self._unordered or not table:
             return []
         times = table.timestamps
-        if (self.last is not None and times[0] < self.last) or np.any(np.diff(times) < 0):
+        # Written so that a NaN fails it: every comparison with NaN is False.
+        ordered = np.isfinite(times).all() and (np.diff(times) >= 0).all()
+        if not (ordered and (self.last is None or times[0] >= self.last)):
             self._unordered = True
             return []
         if self.t0 is None:
@@ -295,7 +298,7 @@ class WindowStream:
     def close(self) -> list:
         """End the stream: decide the last windows and return the kept ones."""
         if self._unordered:
-            raise InvalidInputError("scans must be time-ordered")
+            raise InvalidInputError("scans must be time-ordered, with finite timestamps")
         if self.t0 is None:
             return []
         limit = self.last

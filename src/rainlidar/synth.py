@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .features import CropBox, Scan, _check_points
+from .features import CropBox, Scan, ScanTable
 from .io import _odd_block_worker, _scan_block_text, atomic_open
 from .pipeline import RainSeries
 
@@ -357,10 +357,12 @@ def generate_session(
     Disdrometer observations get multiplicative lognormal noise of the
     given sigma and an optional constant bias factor. ``disturbance=None``
     disables corruption bursts. Fully deterministic per seed. The scans
-    are :func:`session_scans` as a list, the series
+    are one :class:`ScanTable` of the blocks that :func:`session_scans`
+    draws, a sequence of the same :class:`Scan`; the series is
     :func:`disdrometer_series`.
     """
-    scans = list(session_scans(profile, params, box, seed, fluctuation, disturbance))
+    frames = _SessionFrames(profile, params, box, seed, fluctuation, disturbance)
+    scans = ScanTable.concat(frames.block(a, a + SESSION_BLOCK_FRAMES) for a in frames.starts)
     return scans, disdrometer_series(profile, seed, noise_sigma, bias, fluctuation)
 
 
@@ -372,20 +374,22 @@ def session_scans(
     fluctuation: float = 0.12,
     disturbance: DisturbanceParams | None = DisturbanceParams(),
 ):
-    """The scans of :func:`generate_session`, as an iterator that makes each on demand.
+    """The scans of :func:`generate_session`, as an iterator that draws them on demand.
 
     The frame times, rates and bursts are set up here, so a bad profile
-    raises before the first scan is asked for; each scan is generated when
-    the iterator reaches it.
+    raises before the first scan is asked for. The scans are drawn a
+    :class:`ScanTable` block of SESSION_BLOCK_FRAMES frames at a time, when
+    the iterator reaches the block, and yielded as its :class:`Scan` views.
     """
     frames = _SessionFrames(profile, params, box, seed, fluctuation, disturbance)
-    return (frames.scan(j) for j in range(len(frames.times)))
+    return (scan for a in frames.starts for scan in frames.block(a, a + SESSION_BLOCK_FRAMES))
 
 
 class _SessionFrames:
-    """The frames of a session, set up once: their times, true rates and
-    disturbance bursts. Frame j's scan draws from its own stream, keyed by
-    the session seed and j alone."""
+    """The frames of a session, set up once: their times, true rates,
+    disturbance bursts and block starts. Frame j's scan draws from its own
+    stream, keyed by the session seed and j alone, so a block's scans do
+    not depend on where the blocks are cut."""
 
     def __init__(self, profile, params, box, seed, fluctuation, disturbance):
         self.params = params or default_regime_params()
@@ -400,6 +404,7 @@ class _SessionFrames:
         self.times = frame_times.tolist()
         self.rates = rates.tolist()
         self.bursts = _draw_bursts(disturbance, total, seed) if disturbance else []
+        self.starts = range(0, n_frames, SESSION_BLOCK_FRAMES)  # the first frame of each block
 
     def _draw_args(self, j) -> tuple:
         """The :func:`_draw_points` arguments of frame j: its rate, the
@@ -414,25 +419,19 @@ class _SessionFrames:
             overlay = (1.0, 1.0, 0.0)
         return (self.rates[j], self.params, self.box, [_SCAN_STREAM, self.seed, j], *overlay)
 
-    def scan(self, j) -> Scan:
-        rate, params, box, seed, *overlay = self._draw_args(j)
-        return generate_scan(rate, params, box, seed, self.times[j], j, *overlay)
-
-    def block_text(self, start: int, stop: int) -> str:
-        """The scan lines of frames ``start:stop``, each ended by a newline.
-
-        The block's points are checked as :class:`Scan` checks a scan's,
-        all at once.
-        """
-        drawn = [_draw_points(*self._draw_args(j)) for j in range(start, stop)]
+    def block(self, start: int, stop: int) -> ScanTable:
+        """The scans of frames ``start:stop`` (cut at the last frame) as one
+        table, whose constructor checks their points."""
+        frames = range(len(self.times))[start:stop]
+        drawn = [_draw_points(*self._draw_args(j)) for j in frames]
         points = np.concatenate(drawn)
-        _check_points(points[:, :3], points[:, 3])
-        return _scan_block_text(range(start, stop), self.times[start:stop], map(len, drawn), points)
+        offsets = np.cumsum([0, *map(len, drawn)])
+        return ScanTable(frames, self.times[start:stop], offsets, points[:, :3], points[:, 3])
 
 
-# Frames per block of write_session_scans. A block of 100 frames is about
-# 0.4 MB of text at 10 Hz; much smaller blocks cost more in hand-offs
-# between the processes, larger ones only hold more.
+# Frames per block that a session draws and writes. A block of 100 frames
+# is about 0.4 MB of text at 10 Hz; much smaller blocks cost more in
+# hand-offs between the processes, larger ones only hold more.
 SESSION_BLOCK_FRAMES = 100
 
 
@@ -449,28 +448,29 @@ def write_session_scans(
 
     The file holds the bytes of ``io.write_scans(path, session_scans(...))``.
     The session is set up first, so bad arguments raise before any output.
-    The frames are cut into blocks of SESSION_BLOCK_FRAMES, which this
-    process writes in order. When it may run on two or more CPUs, a forked
-    worker makes the odd blocks while this process makes the even ones
-    (the worker of :func:`rainlidar.io.read_scan_blocks`, with the same
-    pipe, kill and join).
-    Each scan draws from a stream keyed by its frame index, so the bytes do
-    not depend on the worker or on where the blocks are cut. Python 3.12
-    and later may warn about the fork, as the :mod:`rainlidar.io`
-    docstring describes.
+    The frames are drawn in the :class:`ScanTable` blocks of
+    SESSION_BLOCK_FRAMES that :func:`session_scans` draws, and each block
+    is formatted by the one formatter of :func:`rainlidar.io.write_scans`;
+    this process writes the blocks in order. When it may run on two or
+    more CPUs, a forked worker makes the text of the odd blocks while this
+    process makes the even ones (the worker of
+    :func:`rainlidar.io.read_scan_blocks`, with the same pipe, kill and
+    join). Each scan draws from a stream keyed by its frame index, so the
+    bytes do not depend on the worker or on where the blocks are cut.
+    Python 3.12 and later may warn about the fork, as the
+    :mod:`rainlidar.io` docstring describes.
     """
     frames = _SessionFrames(profile, None, box, seed, fluctuation, disturbance)
-    n_frames = len(frames.times)
-    starts = range(0, n_frames, SESSION_BLOCK_FRAMES)
+    starts = frames.starts
 
     def block(start):
-        return frames.block_text(start, min(start + SESSION_BLOCK_FRAMES, n_frames))
+        return _scan_block_text(frames.block(start, start + SESSION_BLOCK_FRAMES))
 
     odd = (block(start) for start in starts[1::2]) if len(starts) > 1 else None
     with atomic_open(path) as handle, _odd_block_worker(odd) as receive:
         for k, start in enumerate(starts):
             handle.write(receive() if receive and k % 2 else block(start))
-    return n_frames
+    return len(frames.times)
 
 
 def disdrometer_series(

@@ -196,15 +196,15 @@ class TestSessionWriter:
     @staticmethod
     def fail_in_block(monkeypatch, index, in_worker, failure):
         """Make block ``index`` call ``failure()`` in the worker or in this process."""
-        block_text = synth._SessionFrames.block_text
+        block = synth._SessionFrames.block
         parent = os.getpid()
 
-        def failing_block_text(self, start, stop):
+        def failing_block(self, start, stop):
             if start == index * synth.SESSION_BLOCK_FRAMES and (os.getpid() != parent) == in_worker:
                 failure()
-            return block_text(self, start, stop)
+            return block(self, start, stop)
 
-        monkeypatch.setattr(synth._SessionFrames, "block_text", failing_block_text)
+        monkeypatch.setattr(synth._SessionFrames, "block", failing_block)
 
     def synth_into(self, tmp_path):
         return main([
@@ -302,6 +302,37 @@ class TestFeaturize:
         ]) == EXIT_OK
         assert "empty" in capsys.readouterr().err
         assert len(rio.read_dataset(out)) == 0
+
+    @pytest.mark.parametrize(
+        "options, code",
+        [
+            (["--duration", "-5"], EXIT_USAGE),
+            (["--duration", "nan"], EXIT_USAGE),
+            (["--stride", "0"], EXIT_USAGE),
+            (["--savgol-order", "-1"], EXIT_USAGE),
+            (["--val-span", "nan"], EXIT_USAGE),
+            (["--box", "-1"], EXIT_USAGE),
+            (["--trim", "-3"], EXIT_USAGE),
+            (["--stride", "2"], EXIT_USAGE),
+            ([], EXIT_OK),
+            (["--stride", "2", "--allow-overlap", "--duration", "4", "--trim", "0"], EXIT_OK),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else f"exit{value}",
+    )
+    def test_empty_scan_file_checks_the_options(self, workspace, tmp_path, capsys, options, code):
+        # an empty file takes the path of any other, so its options are checked as theirs
+        scans = tmp_path / "empty.txt"
+        scans.write_text("")
+        out = tmp_path / "dataset.csv"
+        argv = ["featurize", "--scans", str(scans), "--rain", str(workspace["rain"]), "--out", str(out)]
+        assert main(argv + options) == code
+        err = capsys.readouterr().err
+        if code == EXIT_OK:
+            assert "warning: empty scan file" in err
+            dataset = rio.read_dataset(out)
+            assert len(dataset) == 0 and dataset.segment_spans
+        else:
+            assert err.startswith("error: ") and not out.exists()
 
 
 class TestScanColumns:
@@ -730,14 +761,18 @@ class TestStreamedCommands:
             assert sample.features.tobytes() == vector.tobytes()
 
     @staticmethod
-    def bad_file(path, unsorted, bad_line):
-        """Scan lines 1..30 at 10 Hz; line ``unsorted`` goes back in time and
-        line ``bad_line`` (if any) has a malformed value."""
+    def bad_file(path, unsorted, bad_line, stamp=None):
+        """Scan lines 1..30 at 10 Hz; line ``unsorted`` goes back in time,
+        line ``bad_line`` (if any) has a malformed value, and ``stamp``
+        (if any), a pair of a line and a text, gives that line that text as
+        its timestamp."""
         lines = []
         for i in range(30):
-            t = 0.1 * i if i + 1 != unsorted else 0.0
+            t = repr(0.1 * i if i + 1 != unsorted else 0.0)
+            if stamp and i + 1 == stamp[0]:
+                t = stamp[1]
             value = "1.5x" if i + 1 == bad_line else "1.5"
-            lines.append(f"{i} {t!r} 1.0 2.0 3.0 {value} -1.0 0.5 2.0 0.25")
+            lines.append(f"{i} {t} 1.0 2.0 3.0 {value} -1.0 0.5 2.0 0.25")
         path.write_text("\n".join(lines) + "\n")
         return path
 
@@ -765,6 +800,32 @@ class TestStreamedCommands:
         assert main(self.commands(workspace, scans, out)[command]) == EXIT_USAGE
         assert "time-ordered" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["featurize", "predict", "predict-stdout"])
+    @pytest.mark.parametrize(
+        "stamp", [(1, "nan"), (5, "nan"), (30, "nan"), (30, "inf"), (1, "-inf"), (5, "inf")],
+        ids=lambda stamp: f"{stamp[1]}@{stamp[0]}",
+    )
+    def test_non_finite_timestamp_is_usage_error(
+        self, workspace, tmp_path, monkeypatch, capsys, command, stamp
+    ):
+        # the reader takes any float timestamp; the window stream rejects it as disorder
+        monkeypatch.setattr(rio, "SCAN_BLOCK_BYTES", 200)
+        scans = self.bad_file(tmp_path / "bad.txt", unsorted=None, bad_line=None, stamp=stamp)
+        out = tmp_path / "out.csv"
+        argv = self.commands(workspace, scans, out)[command.split("-")[0]]
+        if command == "predict-stdout":
+            argv[-1] = "-"
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "time-ordered" in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == [scans]
+        # a later malformed line still decides the error
+        if stamp[0] < 30:
+            scans = self.bad_file(tmp_path / "bad.txt", unsorted=None, bad_line=30, stamp=stamp)
+            assert main(argv) == EXIT_IO
+            assert f"{scans}:30: " in capsys.readouterr().err
+            assert list(tmp_path.iterdir()) == [scans]
 
     @pytest.mark.parametrize("command", ["featurize", "predict", "predict-stdout"])
     def test_bad_line_in_the_last_block_leaves_no_output(

@@ -463,18 +463,8 @@ class TestScanReaderBlocks:
         assert len(blocks) > 10 and all(blocks)
         assert_same_scans(ScanTable.concat(blocks), scans)
 
-    def test_one_buffer_for_every_point(self, tmp_path):
-        # the points are views of one (N, 4) array cut to the point count
-        scans = random_scans(seed=15, n_scans=30)
-        path = tmp_path / "scans.txt"
-        rio.write_scans(path, scans)
-        table = rio.read_scans(path)
-        buffer = table.xyz.base
-        assert buffer is table.intensity.base
-        assert buffer.shape == (sum(s.n_points for s in scans), 4)
-
     def test_file_grown_while_read(self, tmp_path, small_blocks, monkeypatch):
-        # more points than the size at open time allows for: the buffer grows
+        # lines appended after the open are read as the rest of the file
         first, later = random_scans(seed=16, n_scans=4), random_scans(seed=17, n_scans=80)
         path, tail = tmp_path / "scans.txt", tmp_path / "tail.txt"
         rio.write_scans(path, first)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from rainlidar import synth
 from rainlidar.errors import InvalidInputError
-from rainlidar.features import CropBox, normalized_mst, scan_features
+from rainlidar.features import CropBox, ScanTable, normalized_mst, scan_features
 from rainlidar.moe import build_tree_spec, evaluate, train
 from rainlidar.pipeline import assemble_dataset, make_windows, preprocess, split_validation
 from rainlidar.synth import (
@@ -189,6 +190,16 @@ class TestGenerateScan:
             generate_scan(-1.0, default_regime_params(), BOX, seed=0)
 
 
+def per_frame_scans(profile, seed, disturbance):
+    """The scans of a session (default params, box and fluctuation) made one
+    frame at a time by :func:`generate_scan`, with the arguments that the
+    session gives each frame."""
+    frames = synth._SessionFrames(profile, None, BOX, seed, 0.12, disturbance)
+    for j in range(len(frames.times)):
+        rate, params, box, seed, *overlay = frames._draw_args(j)
+        yield generate_scan(rate, params, box, seed, frames.times[j], j, *overlay)
+
+
 class TestGenerateSession:
     def test_plateau_tracking(self):
         profile = RainProfile(
@@ -255,6 +266,32 @@ class TestGenerateSession:
             assert a.intensity.tobytes() == b.intensity.tobytes()
         again = disdrometer_series(profile, seed=6)
         assert again.rates.tobytes() == series.rates.tobytes()
+
+    @pytest.mark.parametrize("frame_rate", [10.0, 1.0])
+    @pytest.mark.parametrize("bursts", [True, False], ids=["bursts", "calm"])
+    def test_blocks_equal_a_scan_per_frame(self, frame_rate, bursts):
+        # 237 frames: two whole blocks and a short one
+        seconds = 23.7 if frame_rate == 10.0 else 237.0
+        profile = RainProfile((SegmentSpec(seconds, 25.0, 5.0),), SensorSpec(frame_rate=frame_rate))
+        dist = (
+            DisturbanceParams(rate_per_minute=4.0, duration_range=(seconds / 20, seconds / 10))
+            if bursts
+            else None
+        )
+        frames = synth._SessionFrames(profile, None, BOX, 6, 0.12, dist)
+        assert len(frames.times) == 237 and 237 % synth.SESSION_BLOCK_FRAMES
+        covered = [any(b.start <= t < b.start + b.duration for b in frames.bursts) for t in frames.times]
+        assert (0 < sum(covered) < 237) == bursts
+        want = list(per_frame_scans(profile, 6, dist))
+        scans, _ = generate_session(profile, seed=6, disturbance=dist)
+        assert isinstance(scans, ScanTable)
+        for got in (list(session_scans(profile, seed=6, disturbance=dist)), list(scans)):
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert type(a.frame_id) is type(b.frame_id) is int and a.frame_id == b.frame_id
+                assert a.timestamp.hex() == b.timestamp.hex()
+                assert a.xyz.tobytes() == b.xyz.tobytes()
+                assert a.intensity.tobytes() == b.intensity.tobytes()
 
     def test_disturbance_determinism(self):
         profile = RainProfile(segments=(SegmentSpec(120.0, 30.0),))

@@ -22,15 +22,18 @@ which decide what a malformed file is: its first bad line is reported as
 ``path:line:``.
 
 The session writer and the reader of a regular file use a second process
-where two or more CPUs may run this one (:func:`_odd_block_worker`): a
-forked worker makes every other block, text or parsed scans, and hands it
-over through a pipe as one pickle; this process makes the blocks between
-and keeps the file order. The output does not depend on the worker. The
-reader's worker hands over only blocks that parse cleanly, so every error
-is raised as with one process; with one CPU, or for a pipe or other file
-that cannot be read twice, one process does all the work. Python 3.12 and
-later may warn (DeprecationWarning) that the process forks while it has
-other threads: OpenBLAS's pool, which numpy may start at import unless
+where two or more CPUs may run this one (:func:`_block_worker`): a forked
+worker makes blocks, text or parsed scans, and hands each over through a
+pipe as one pickle, while this process makes the others and keeps the
+file order. Whichever process is free claims the next block, through a
+token that the two pass between them; when this process reaches a block
+that the worker is still making, it makes the block after it meanwhile.
+The output does not depend on the worker. The reader's worker hands over
+only blocks that parse cleanly, so every error is raised as with one
+process; with one CPU, or for a pipe or other file that cannot be read
+twice, one process does all the work. Python 3.12 and later may warn
+(DeprecationWarning) that the process forks while it has other threads:
+OpenBLAS's pool, which numpy may start at import unless
 OPENBLAS_NUM_THREADS=1. The workers only parse, draw and format scans;
 the warning is left as it is, not filtered.
 
@@ -60,11 +63,14 @@ import io as _io
 import json
 import os
 import pickle
+import select
 import signal
 import stat
+import struct
 import tempfile
 import warnings as _warnings
 from contextlib import contextmanager, suppress
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -179,39 +185,53 @@ def read_scan_blocks(path):
 
     The file is read SCAN_BLOCK_BYTES at a time, each block cut back to a
     line end, so no more than a block of text and its scans are held at
-    once; a block without scans (only blank lines) yields nothing. Each
-    block is checked as :func:`read_scans` describes: the first bad line of
-    the file raises when its block is reached, after the blocks ahead of it
+    once, and the scans of the next block where it was parsed ahead; a
+    block without scans (only blank lines) yields nothing. Each block is
+    checked as :func:`read_scans` describes: the first bad line of the
+    file raises when its block is reached, after the blocks ahead of it
     have been yielded.
 
     A regular file of more than one block is parsed by two processes where
-    two CPUs may run this one: a forked worker opens the file itself, cuts
-    the same blocks and parses the odd ones with :func:`_parse_block`
-    (:func:`_odd_blocks`), each sent back as one pickle. This process
-    parses the even ones, and an odd one too unless the worker parsed the
-    block of the same offset and length, so every error is raised here,
-    as with one process. The worker is killed and joined when the reading
-    ends: by exhaustion, an error or the generator's close.
+    two CPUs may run this one (:func:`_block_worker`): a forked worker
+    opens the file itself, cuts the same blocks and parses each block that
+    it claims (:func:`_claimed_blocks`), sent back as one pickle. This
+    process parses the blocks that it claims, and a worker's block too
+    unless the worker parsed the block of the same offset and length, so
+    every error is raised here, as with one process. The worker is killed
+    and joined when the reading ends: by exhaustion, an error or the
+    generator's close.
     """
     lines_before = offset = k = 0
     with open(path, "rb") as handle:
         info = os.fstat(handle.fileno())
         several = stat.S_ISREG(info.st_mode) and info.st_size > SCAN_BLOCK_BYTES
-        with _odd_block_worker(_odd_blocks(path, info) if several else None) as receive:
-            rest = b""
+        with _block_worker(partial(_claimed_blocks, path, info) if several else None) as claims:
+            rest, ahead = b"", None
             while True:
-                data, rest = _next_lines(handle, rest)
-                if not data:
-                    return
-                parsed = None
-                if receive and k % 2:
-                    try:
-                        sent = receive()
-                    except OSError:  # the worker died or could not read: parse the rest here
-                        receive = None
-                    else:  # the worker read the file again, which may have changed since
-                        parsed = sent[2] if sent[:2] == (offset, len(data)) else None
-                offset, k = offset + len(data), k + 1
+                if ahead:  # made here while the worker made the block before it
+                    (data, sent), ahead = ahead, None
+                    size = sent[1]
+                else:
+                    data, rest = _next_lines(handle, rest)
+                    if not data:
+                        return
+                    size = len(data)
+                    source, sent = claims.source(k) if claims else _HERE, None
+                    if source == _AHEAD:
+                        following, rest = _next_lines(handle, rest)
+                        if following:
+                            made = _parse_claimed(offset + size, following)
+                            # Its text is kept only to be parsed again here.
+                            ahead = following if made[2] is None else None, made
+                            del following
+                    if source != _HERE:
+                        try:
+                            sent = claims.receive()
+                        except OSError:  # the worker died or could not read: parse the rest here
+                            claims = None
+                # The worker read the file again, which may have changed since.
+                parsed = sent[2] if sent and sent[:2] == (offset, size) else None
+                offset, k = offset + size, k + 1
                 ids, times, n_points, quads, n_lines = (
                     parsed or _parse_block(data) or _parse_lines(data, path, lines_before)
                 )
@@ -243,31 +263,48 @@ def _next_lines(handle, rest: bytes):
     return rest, b""
 
 
-def _odd_blocks(path, info):
-    """Worker body of :func:`read_scan_blocks`: for each odd block of the
-    file that ``path`` names, its offset, its length and what
-    :func:`_parse_block` gives, or None where that raises; none when
-    ``path`` no longer names the file of stat result ``info``."""
+def _claimed_blocks(path, info, claim):
+    """Worker body of :func:`read_scan_blocks`: :func:`_parse_claimed` of
+    each block of the file that ``path`` names that ``claim()`` gives the
+    worker; none when ``path`` no longer names the file of stat result
+    ``info``."""
     with open(path, "rb") as handle:
         if not os.path.samestat(info, os.fstat(handle.fileno())):
             return
-        rest, offset, k = b"", 0, 0
+        rest, offset, k, mine = b"", 0, 0, claim()
         while True:
             data, rest = _next_lines(handle, rest)
             if not data:
                 return
-            if k % 2:
-                parsed = None
-                with suppress(InvalidInputError):  # raised by the reader when it gets there
-                    parsed = _parse_block(data)
-                yield offset, len(data), parsed
+            if k == mine:
+                yield _parse_claimed(offset, data)
+                mine = claim()
             offset, k = offset + len(data), k + 1
 
 
-# The worker's pipe holds about one pickled block of synth text (100 frames
-# at 10 Hz: 0.37 MB median, 0.68 MB at most on the default session) or two
-# of parsed read scans (about 0.23 MB each); a default pipe holds 64 KiB.
-_PIPE_BYTES = 1 << 19
+def _parse_claimed(offset: int, data: bytes):
+    """A block parsed before the reader reaches it, by the worker or ahead
+    of its turn here: its offset, its length and what :func:`_parse_block`
+    gives, or None where that raises."""
+    parsed = None
+    with suppress(InvalidInputError):  # raised by the reader when it gets there
+        parsed = _parse_block(data)
+    return offset, len(data), parsed
+
+
+# The worker's pipe holds about two pickled blocks of synth text (100 frames
+# at 10 Hz: 0.37 MB median, 0.68 MB at most on the default session) or four
+# of parsed read scans (about 0.23 MB each), so the worker can run ahead
+# while this process works on its blocks; a default pipe holds 64 KiB, and
+# 1 MiB is the most that Linux lets an unprivileged process ask by default.
+_PIPE_BYTES = 1 << 20
+
+# Where a block comes from (:meth:`_Claims.source`).
+_HERE, _WORKER, _AHEAD = "here", "worker", "ahead"
+
+# The claim token: the next unclaimed block, and how many blocks the
+# worker has finished.
+_TOKEN = struct.Struct("qq")
 
 
 def _worker_count() -> int:
@@ -278,28 +315,38 @@ def _worker_count() -> int:
 
 
 @contextmanager
-def _odd_block_worker(results):
-    """Yield a function that returns the next item of ``results``, made by a
-    forked worker, or None where a worker does not help (no ``results``,
-    one CPU, no fork).
+def _block_worker(body):
+    """Yield the :class:`_Claims` of a forked worker that makes the blocks
+    it claims, or None where a worker does not help (no ``body``, one CPU,
+    no fork).
 
-    ``results`` is iterated in the worker only. An item is any picklable
-    object; the function returns its unpickled copy. The worker writes
-    each item as one pickle (:func:`_send_blocks`) to a pipe widened to
-    _PIPE_BYTES, so it can start its next item before this process takes
-    the last one; a write waits while the pipe is full. ``pickle.load`` is
-    safe here: the pipe is made before the fork and only the worker
-    writes to it. An error raised by ``results`` is raised by the
-    function; a worker that ends before its items do, between or inside
-    a pickle, raises ChildProcessError. The worker closes this process's
-    end of the pipe, so its writes fail once this process is gone; it is
-    killed and joined on every path out of the block.
+    Blocks are numbered from 0 in the order that this process takes them.
+    Whichever process is free claims the next unclaimed block: this process
+    through :meth:`_Claims.source`, the worker through the ``claim``
+    function that ``body(claim)`` is called with, in the worker only.
+    ``claim()`` returns the index of the worker's next block; the body
+    yields that block, any picklable object, and calls it again for the
+    next. The claims go through a one-message token pipe (:class:`_Token`)
+    made before the fork.
+
+    The worker writes each block as one pickle (:func:`_send_blocks`) to
+    a pipe widened to _PIPE_BYTES, so it can go on to its next block
+    before this process takes the last one; a write waits while the pipe
+    is full. ``pickle.load`` is safe here: the pipe is made before the fork
+    and only the worker writes to it. An error raised by ``body`` is raised
+    by :meth:`_Claims.receive`; a worker that ends before its blocks do,
+    between or inside a pickle, raises ChildProcessError there, and one
+    that ends while it holds the token leaves the rest to this process.
+    The worker closes this process's end of the pipe, so its writes fail,
+    and its claims too, once this process is gone; it is killed and joined
+    on every path out of the block.
     """
-    if results is None or _worker_count() < 2:
+    if body is None or _worker_count() < 2:
         yield None
         return
     import fcntl
 
+    token = _Token()
     read_fd, write_fd = os.pipe()
     # Linux only; elsewhere the pipe keeps its size and the worker waits more.
     with suppress(AttributeError, OSError):
@@ -309,40 +356,130 @@ def _odd_block_worker(results):
         code = 1
         try:
             os.close(read_fd)
-            _send_blocks(results, write_fd)
+            _send_blocks(body(token.claimer(write_fd)), write_fd)
             code = 0
         finally:
             os._exit(code)
     os.close(write_fd)
-    pipe = open(read_fd, "rb")
-    status = None
+    claims = _Claims(token, open(read_fd, "rb"), pid)
+    try:
+        yield claims
+    finally:
+        claims.close()
 
-    def join() -> int:
-        nonlocal status
-        if status is None:
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        return status
 
-    def receive():
+class _Token:
+    """The claim token of :func:`_block_worker`: a pipe that holds one
+    message, the next unclaimed block and how many blocks the worker has
+    finished. A process holds the token from reading the message to
+    writing the next one, while the other waits for it."""
+
+    def __init__(self):
+        self.read_fd, self.write_fd = os.pipe()
+        # Both processes read it: one that finds it gone waits in poll.
+        os.set_blocking(self.read_fd, False)
+        self.put(0, 0)
+
+    def take(self, hangup_fd):
+        """The token's two numbers, or None once the other process has gone
+        without it: ``hangup_fd`` is this process's end of the block pipe,
+        which reports a hang-up or error when the other end is closed."""
+        poller = select.poll()
+        poller.register(self.read_fd, select.POLLIN)
+        poller.register(hangup_fd, 0)
+        gone = False
+        while True:
+            with suppress(BlockingIOError):
+                return _TOKEN.unpack(os.read(self.read_fd, _TOKEN.size))
+            if gone:  # and the token was not left behind
+                return None
+            gone = any(fd == hangup_fd for fd, _ in poller.poll())
+
+    def put(self, next_block: int, finished: int) -> None:
+        os.write(self.write_fd, _TOKEN.pack(next_block, finished))
+
+    def claimer(self, write_fd):
+        """The worker's ``claim``: each call marks the block of the last
+        call finished and claims the next unclaimed block."""
+        finished_one = False
+
+        def claim() -> int:
+            nonlocal finished_one
+            token = self.take(write_fd)
+            if token is None:
+                raise BrokenPipeError("the reader of the scan worker has gone")
+            next_block, finished = token
+            self.put(next_block + 1, finished + finished_one)
+            finished_one = True
+            return next_block
+
+        return claim
+
+    def close(self) -> None:
+        os.close(self.read_fd)
+        os.close(self.write_fd)
+
+
+class _Claims:
+    """This process's side of :func:`_block_worker`: where each block comes
+    from, the worker's blocks, and the worker's end."""
+
+    def __init__(self, token: _Token, pipe, pid: int):
+        self.token, self.pipe, self.pid = token, pipe, pid
+        self.received = 0  # of the worker's blocks
+        self.token_lost = False
+        self.status = None
+
+    def source(self, k: int) -> str:
+        """Where block k comes from, all blocks before it taken: _HERE when
+        this process makes it, now claimed; _WORKER when the worker has made
+        it, and _AHEAD when the worker is making it and this process has
+        claimed block k + 1 to make meanwhile. In the last two cases
+        :meth:`receive` returns block k; this process holds at most the one
+        block made ahead, and waits for the worker's only after making it.
+        Once the worker has gone with the token, every block is _HERE."""
+        token = None if self.token_lost else self.token.take(self.pipe.fileno())
+        if token is None:
+            self.token_lost = True
+            return _HERE
+        next_block, finished = token
+        if next_block == k:
+            self.token.put(k + 1, finished)
+            return _HERE
+        if finished > self.received:
+            self.token.put(next_block, finished)
+            return _WORKER
+        # The worker finishes its blocks in claim order, so block k is the
+        # one it is making, and it has claimed no other: next_block is k + 1.
+        self.token.put(next_block + 1, finished)
+        return _AHEAD
+
+    def receive(self):
+        """The worker's next block, in the order of its claims."""
         try:
-            ok, item = pickle.load(pipe)
+            ok, item = pickle.load(self.pipe)
         except (EOFError, pickle.UnpicklingError):  # the worker ended between or inside items
-            raise ChildProcessError(f"scan worker exited with code {join()}") from None
+            raise ChildProcessError(f"scan worker exited with code {self.join()}") from None
         if not ok:
             raise item
+        self.received += 1
         return item
 
-    try:
-        yield receive
-    finally:
-        pipe.close()
-        if status is None:
-            os.kill(pid, signal.SIGKILL)
-        join()
+    def join(self) -> int:
+        if self.status is None:
+            self.status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        return self.status
+
+    def close(self) -> None:
+        self.pipe.close()
+        self.token.close()
+        if self.status is None:
+            os.kill(self.pid, signal.SIGKILL)
+        self.join()
 
 
 def _send_blocks(results, write_fd) -> None:
-    """Worker body: write each item of ``results`` to the pipe ``write_fd``
+    """In the worker: write each item of ``results`` to the pipe ``write_fd``
     as one pickle (protocol 5, which writes an array's buffer as raw
     bytes) of ``(True, item)``, or of ``(False, error)`` for the error
     that stopped them."""

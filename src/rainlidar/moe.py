@@ -17,7 +17,7 @@ and mixes the expert Gaussians into one predictive distribution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import KW_ONLY, InitVar, dataclass, field, fields
 
 import numpy as np
 
@@ -374,13 +374,25 @@ class MixturePrediction:
     variances: np.ndarray
     point_estimate: float | np.ndarray
     error_probability: float | np.ndarray
+    _: KW_ONLY
+    # Set by __getitem__ alone: a row or sub-batch of a checked batch is not checked again.
+    _checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _checked):
         resp, means, variances, points, error_probs = (
             np.asarray(getattr(self, f.name), dtype=float) for f in fields(self)
         )
         if points.ndim == 0:  # one input: (M,) components
             resp, means, variances = resp.reshape(-1), means.reshape(-1), variances.reshape(-1)
+        if not _checked:
+            self._check(resp, means, variances, points, error_probs)
+        if points.ndim == 0:
+            points, error_probs = float(points), float(error_probs)
+        for f, value in zip(fields(self), (resp, means, variances, points, error_probs)):
+            object.__setattr__(self, f.name, value)
+
+    @staticmethod
+    def _check(resp, means, variances, points, error_probs) -> None:
         if not (resp.shape == means.shape == variances.shape and resp.ndim and resp.shape[-1] >= 1):
             raise InvalidInputError("component arrays must have equal nonzero length")
         if not resp.shape[:-1] == points.shape == error_probs.shape:
@@ -392,10 +404,6 @@ class MixturePrediction:
             raise InvalidInputError("component variances must be positive")
         if not ((error_probs >= 0.0) & (error_probs <= 1.0)).all():
             raise InvalidInputError("error probability must be in [0, 1]")
-        if points.ndim == 0:
-            points, error_probs = float(points), float(error_probs)
-        for f, value in zip(fields(self), (resp, means, variances, points, error_probs)):
-            object.__setattr__(self, f.name, value)
 
     @property
     def n_components(self) -> int:
@@ -405,7 +413,7 @@ class MixturePrediction:
         return len(self.point_estimate)
 
     def __getitem__(self, index) -> MixturePrediction:
-        return MixturePrediction(*(getattr(self, f.name)[index] for f in fields(self)))
+        return MixturePrediction(*(getattr(self, f.name)[index] for f in fields(self)), _checked=True)
 
 
 def _responsibilities(gate_probs, depth: int) -> np.ndarray:
@@ -482,6 +490,9 @@ def infer_batch(
         raise InvalidInputError(
             f"feature dimension {X.shape[1]} does not match model dimension {model.n_features}"
         )
+    if not len(X):
+        n_experts = len(model.experts)
+        return MixturePrediction(*(np.empty((0, n_experts)) for _ in range(3)), np.empty(0), np.empty(0))
     Phi = design_matrix(standardize_apply(model.standardization, X), model.experts[0].basis)
     resp = _responsibilities(gate_probabilities(model.gates, Phi), model.spec.depth)
     means, variances = expert_predictions(model.experts, Phi)

@@ -314,6 +314,20 @@ class WindowStream:
         start = self.t0 + k * self.period
         return start, start + self.duration
 
+    def _first_window_past(self, t: float, last: float, n_windows: int) -> int:
+        """The first window after the first undecided one that can hold a
+        scan at time ``t``, or that ends after ``last``; n_windows if none
+        before it. A binary search, as window ends rise with the index."""
+        lo, hi = self._k + 1, n_windows
+        while lo < hi:
+            mid = (lo + hi) // 2
+            end = self._bounds(mid)[1]
+            if end - EDGE_TOLERANCE > t or not end <= last:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
     def _decide(self, limit: float, final: bool) -> list:
         """Decide the windows that end by ``limit`` and hold no scan to come;
         return the kept ones with their vectors.
@@ -337,11 +351,16 @@ class WindowStream:
             lo, hi = np.searchsorted(times, [start - EDGE_TOLERANCE, end - EDGE_TOLERANCE]).tolist()
             if hi == times.size and not final:
                 break  # the next scans may fall in the window
+            if hi - lo < 2:
+                # So does every window up to the first that can hold scan hi.
+                after = float(times[hi]) if hi < times.size else math.inf
+                skipped = self._first_window_past(after, last, n_windows) - self._k
+                self._k += skipped
+                self.counts.n_windows += skipped
+                self.counts.n_skipped_few_scans += skipped
+                continue
             self._k += 1
             self.counts.n_windows += 1
-            if hi - lo < 2:
-                self.counts.n_skipped_few_scans += 1
-                continue
             target = None if self.series is None else target_for_window(self.series, (start, end))
             if self.series is not None and target is None:
                 self.counts.n_skipped_no_target += 1

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .features import CropBox, Scan, ScanTable
-from .io import _odd_block_worker, _scan_block_text, atomic_open
+from .io import _AHEAD, _HERE, _block_worker, _scan_block_text, atomic_open
 from .pipeline import RainSeries
 
 # Fixed sub-stream tags fanned out from the session seed.
@@ -452,24 +452,37 @@ def write_session_scans(
     SESSION_BLOCK_FRAMES that :func:`session_scans` draws, and each block
     is formatted by the one formatter of :func:`rainlidar.io.write_scans`;
     this process writes the blocks in order. When it may run on two or
-    more CPUs, a forked worker makes the text of the odd blocks while this
-    process makes the even ones (the worker of
-    :func:`rainlidar.io.read_scan_blocks`, with the same pipe, kill and
-    join). Each scan draws from a stream keyed by its frame index, so the
-    bytes do not depend on the worker or on where the blocks are cut.
+    more CPUs, a forked worker makes the text of the blocks that it claims
+    while this process makes the others, each process taking the next
+    block when it is free (the worker of
+    :func:`rainlidar.io.read_scan_blocks`, with the same claims, pipe, kill
+    and join). Each scan draws from a stream keyed by its frame index, so
+    the bytes do not depend on the worker or on where the blocks are cut.
     Python 3.12 and later may warn about the fork, as the
     :mod:`rainlidar.io` docstring describes.
     """
     frames = _SessionFrames(profile, None, box, seed, fluctuation, disturbance)
     starts = frames.starts
 
-    def block(start):
-        return _scan_block_text(frames.block(start, start + SESSION_BLOCK_FRAMES))
+    def table(k):
+        return frames.block(starts[k], starts[k] + SESSION_BLOCK_FRAMES)
 
-    odd = (block(start) for start in starts[1::2]) if len(starts) > 1 else None
-    with atomic_open(path) as handle, _odd_block_worker(odd) as receive:
-        for k, start in enumerate(starts):
-            handle.write(receive() if receive and k % 2 else block(start))
+    def claimed(claim):
+        while (k := claim()) < len(starts):
+            yield _scan_block_text(table(k))
+
+    with atomic_open(path) as handle, _block_worker(claimed if len(starts) > 1 else None) as claims:
+        ahead = None
+        for k in range(len(starts)):
+            if ahead is not None:  # drawn while the worker made the block before it
+                text, ahead = _scan_block_text(ahead), None
+            else:
+                source = claims.source(k) if claims else _HERE
+                if source == _AHEAD and k + 1 < len(starts):
+                    # Drawn now and formatted in turn: the table holds less than its text.
+                    ahead = table(k + 1)
+                text = _scan_block_text(table(k)) if source == _HERE else claims.receive()
+            handle.write(text)
     return len(frames.times)
 
 

@@ -1,17 +1,20 @@
 """The batched inference path against the per-sample path it replaced."""
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from rainlidar import moe
 from rainlidar.errors import InvalidInputError
 from rainlidar.features import FeatureStats, standardize_apply
 from rainlidar.moe import (
     MixturePrediction,
     MoEModel,
     TrainConfig,
+    _band_error_probability,
     _ndtr,
     _responsibilities,
     build_tree_spec,
@@ -24,7 +27,14 @@ from rainlidar.moe import (
     summarize_predictions,
     train,
 )
-from rainlidar.vblearn import BasisConfig, GatePosterior, _expit
+from rainlidar.vblearn import (
+    BasisConfig,
+    GatePosterior,
+    _expit,
+    design_matrix,
+    expert_predictions,
+    gate_probabilities,
+)
 from tests.test_moe import N_FEATURES, make_samples, manual_model
 
 # ---------------------------------------------------------------------------
@@ -201,6 +211,32 @@ class TestInputs:
             assert len(batch) == 0 and list(batch) == []
             assert batch.responsibilities.shape == batch.means.shape == (0, 4)
 
+    @pytest.mark.parametrize("depth", [0, 2, 6])
+    def test_empty_batch_equals_the_full_path_on_no_rows(self, monkeypatch, depth):
+        model = manual_model(depth, np.full(2**depth - 1, 0.5), np.arange(2.0**depth))
+        X = np.empty((0, N_FEATURES))
+        # the whole path of infer_batch, as it ran on an empty batch
+        Phi = design_matrix(standardize_apply(model.standardization, X), model.experts[0].basis)
+        resp = _responsibilities(gate_probabilities(model.gates, Phi), model.spec.depth)
+        means, variances = expert_predictions(model.experts, Phi)
+        points = np.einsum("nm,nm->n", resp, means)
+        half_widths = np.maximum(0.05 * np.abs(points), 0.0)
+        error_probs = _band_error_probability(resp, means, variances, points, half_widths)
+        want = MixturePrediction(resp, means, variances, points, error_probs)
+
+        def no_node_kernels(*args):
+            raise AssertionError("an empty batch runs no node kernel")
+
+        monkeypatch.setattr(moe, "gate_probabilities", no_node_kernels)
+        monkeypatch.setattr(moe, "expert_predictions", no_node_kernels)
+        got = infer_batch(model, X)
+        for field in dataclasses.fields(MixturePrediction):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert (type(a), a.dtype, a.shape, a.flags.writeable) == (type(b), b.dtype, b.shape, b.flags.writeable)
+        assert want.responsibilities.shape == (0, 2**depth)
+        with pytest.raises(InvalidInputError, match="margin"):
+            infer_batch(model, X, margin_fraction=-1.0)
+
     def test_dimension_mismatch_names_both(self):
         model = manual_model(0, [], [1.0])
         with pytest.raises(InvalidInputError, match="feature dimension 5 does not match model dimension 8"):
@@ -286,6 +322,34 @@ class TestBatch:
         assert repr(batch[-1].point_estimate) == repr(infer(model, X[-1]).point_estimate)
         with pytest.raises(IndexError):
             batch[len(X)]
+
+    def test_a_row_of_a_checked_batch_is_not_checked_again(self, monkeypatch, model_and_rows):
+        model, X = model_and_rows
+        check, checked = MixturePrediction._check, []
+
+        def counted_check(*arrays):
+            checked.append(arrays[3].shape)
+            check(*arrays)
+
+        monkeypatch.setattr(MixturePrediction, "_check", staticmethod(counted_check))
+        batch = infer_batch(model, X)
+        rows = [batch[i] for i in range(len(X))] + [batch[1::2], batch[batch.point_estimate > 0]]
+        assert checked == [(len(X),)]
+        infer(model, X[0])
+        assert checked == [(len(X),), (1,)]
+        # built by a caller, a prediction is checked as before
+        row = rows[0]
+        MixturePrediction(row.responsibilities, row.means, row.variances,
+                          row.point_estimate, row.error_probability)
+        assert checked[-1] == ()
+        with pytest.raises(InvalidInputError, match="variances"):
+            MixturePrediction(row.responsibilities, row.means, -row.variances,
+                              row.point_estimate, row.error_probability)
+        # the flag is no field, and no positional argument
+        assert "_checked" not in {f.name for f in dataclasses.fields(MixturePrediction)}
+        with pytest.raises(TypeError):
+            MixturePrediction(row.responsibilities, row.means, row.variances,
+                              row.point_estimate, row.error_probability, True)
 
     def test_one_prediction_is_not_a_batch(self):
         pred = infer(manual_model(1, [0.5], [1.0, 2.0]), np.zeros(N_FEATURES))

@@ -512,6 +512,131 @@ class TestWindowStream:
             WindowStream(CropBox(10.0), duration, period)
 
 
+class SteppingWindowStream(WindowStream):
+    """WindowStream with the decision loop that stepped through every
+    window, one at a time, whether or not it held a scan: verbatim."""
+
+    def _decide(self, limit: float, final: bool) -> list:
+        kept, new = [], []
+        filled = self._rows.shape[0]
+        last = limit + 1e-9
+        # One index past the last window that can fit; the end test trims it.
+        n_windows = max(int((last - self.t0 - self.duration) // self.period) + 2, 0)
+        times = self._open.timestamps
+        while self._k < n_windows:
+            start, end = self._bounds(self._k)
+            if not end <= last:
+                break
+            lo, hi = np.searchsorted(times, [start - EDGE_TOLERANCE, end - EDGE_TOLERANCE]).tolist()
+            if hi == times.size and not final:
+                break  # the next scans may fall in the window
+            self._k += 1
+            self.counts.n_windows += 1
+            if hi - lo < 2:
+                self.counts.n_skipped_few_scans += 1
+                continue
+            target = None if self.series is None else target_for_window(self.series, (start, end))
+            if self.series is not None and target is None:
+                self.counts.n_skipped_no_target += 1
+                continue
+            kept.append((start, end, target, lo, hi))
+            # Windows come in time order, so the scans before ``filled``
+            # that this one holds are an earlier kept window's, with rows.
+            new += range(max(lo, filled), hi)
+            filled = max(filled, hi)
+        if new:
+            blank = np.full((filled - self._rows.shape[0], 4), np.nan)
+            self._rows = np.concatenate([self._rows, blank])
+            scan_feature_rows(self._open, self.box, new, self._rows)
+        out = [
+            (start, end, target, reduce_window(self._rows[lo:hi]))
+            for start, end, target, lo, hi in kept
+        ]
+        # No undecided window holds a scan before the next one's start.
+        drop = int(np.searchsorted(times, self._bounds(self._k)[0] - EDGE_TOLERANCE))
+        self._open, self._rows = self._open[drop:], self._rows[drop:]
+        return out
+
+
+def sparse_times(rng, duration, period, end_anchored):
+    """Sorted scan times from a random mix of steady runs, bursts (scans at
+    one time or nearly), long gaps, and scans on window edges, within
+    EDGE_TOLERANCE of them."""
+    t0 = float(rng.uniform(0, 2))
+    times, t = [t0], t0
+    for _ in range(int(rng.integers(3, 9))):
+        kind = rng.integers(4)
+        if kind == 0:
+            steps = rng.uniform(0.02, 0.6, int(rng.integers(1, 25)))
+            times += (t + np.cumsum(steps)).tolist()
+        elif kind == 1:
+            times += (t + rng.choice([0.0, 1e-12, 1e-10, 0.01], int(rng.integers(2, 7)))).tolist()
+        elif kind == 2:
+            times.append(t + float(rng.uniform(20, 400)) * period)
+        else:
+            k = int((t - t0) // period) + np.arange(1, int(rng.integers(2, 6)))
+            ends = (t0 + duration) + k * period if end_anchored else (t0 + k * period) + duration
+            edges = np.concatenate([ends, ends - duration]) - EDGE_TOLERANCE
+            nudges = rng.choice([-2e-9, -1e-9, -5e-10, 0.0, 5e-10, 1e-9], edges.size)
+            times += (edges + nudges).tolist()
+        times.sort()
+        t = times[-1]
+    return times
+
+
+class TestEmptyStretches:
+    """Windows with fewer than two scans are passed over in one step; the
+    result is that of the loop that stepped through them one at a time."""
+
+    SERIES = RainSeries([0.0, 60.0, 200.0, 900.0], [3.0, 5.0, 8.0, 2.0], [0, 0, 1, 1])
+
+    @pytest.mark.parametrize("end_anchored", [False, True])
+    @pytest.mark.parametrize("pushes", ["one-scan", "random", "whole"])
+    def test_equals_the_stepping_loop(self, end_anchored, pushes):
+        for seed in range(25):
+            rng = np.random.default_rng([13, seed, end_anchored])
+            duration = float(rng.choice([0.05, 0.3, 1.0, 2.5]))
+            period = duration * float(rng.choice([0.25, 0.5, 1.0, 3.0]))
+            times = sparse_times(rng, duration, period, end_anchored)
+            scans = [scan_at(t, seed=i, n=int(rng.integers(0, 4))) for i, t in enumerate(times)]
+            cuts = {
+                "one-scan": range(1, len(scans)),
+                "random": rng.integers(0, len(scans) + 1, int(rng.integers(1, 12))).tolist(),
+                "whole": [],
+            }[pushes]
+            series = None if end_anchored else self.SERIES
+            streams = [
+                cls(CropBox(5.0), duration, period, series=series, end_anchored=end_anchored)
+                for cls in (SteppingWindowStream, WindowStream)
+            ]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # features undefined on empty scans
+                want, got = (pushed_in_blocks(stream, scans, cuts) for stream in streams)
+            assert_same_windows(got, want)
+            assert vars(streams[1].counts) == vars(streams[0].counts), seed
+            assert (streams[1].peak_scans, streams[1].peak_points) == (
+                streams[0].peak_scans, streams[0].peak_points
+            )
+
+    @pytest.mark.parametrize("end_anchored", [False, True])
+    def test_far_future_scan_costs_no_window_loop(self, monkeypatch, end_anchored):
+        scans = [scan_at(t) for t in np.arange(0, 300) / 10] + [scan_at(1e9)]
+        bounds, calls = WindowStream._bounds, []
+
+        def counted_bounds(self, k):
+            calls.append(k)
+            return bounds(self, k)
+
+        monkeypatch.setattr(WindowStream, "_bounds", counted_bounds)
+        stream = WindowStream(CropBox(10.0), 1.0, 1.0, end_anchored=end_anchored)
+        windows = pushed_in_blocks(stream, scans, [100, 200, 300])
+        counts = stream.counts
+        assert len(windows) == 30 and len(calls) < 1000
+        assert counts.n_windows == len(windows) + counts.n_skipped_few_scans
+        # one window a second up to the last scan, which ends the last one
+        assert abs(counts.n_windows - 1e9) <= 2
+
+
 class TestWindowStarts:
     """Window k is t0 + k * stride, sliced with a tolerance: no accumulated drift."""
 

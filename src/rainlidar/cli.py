@@ -327,9 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", type=float, default=10.0, help="crop box half extent (m)")
     p.add_argument("--frame-rate", type=float, default=10.0)
     p.add_argument("--disdro-rate", type=float, default=0.1)
-    p.add_argument("--noise-sigma", type=float, default=0.05)
+    p.add_argument("--noise-sigma", type=float, default=0.05, help="disdrometer log-noise sigma, >= 0")
     p.add_argument("--bias", type=float, default=1.0)
-    p.add_argument("--fluctuation", type=float, default=0.12)
+    p.add_argument("--fluctuation", type=float, default=0.12, help="rate fluctuation amplitude, in [0, 1]")
     p.add_argument("--no-disturbance", action="store_true")
     p.set_defaults(func=cmd_synth)
 

@@ -21,21 +21,11 @@ pass; any other block goes line by line through ``int`` and ``float``,
 which decide what a malformed file is: its first bad line is reported as
 ``path:line:``.
 
-The session writer and the reader of a regular file use a second process
-where two or more CPUs may run this one (:func:`_block_worker`): a forked
-worker makes blocks, text or parsed scans, and hands each over through a
-pipe as one pickle, while this process makes the others and keeps the
-file order. Whichever process is free claims the next block, through a
-token that the two pass between them; when this process reaches a block
-that the worker is still making, it makes the block after it meanwhile.
-The output does not depend on the worker. The reader's worker hands over
-only blocks that parse cleanly, so every error is raised as with one
-process; with one CPU, or for a pipe or other file that cannot be read
-twice, one process does all the work. Python 3.12 and later may warn
-(DeprecationWarning) that the process forks while it has other threads:
-OpenBLAS's pool, which numpy may start at import unless
-OPENBLAS_NUM_THREADS=1. The workers only parse, draw and format scans;
-the warning is left as it is, not filtered.
+The session writer and the reader of a regular file make their blocks,
+text or parsed scans, on two processes where two CPUs may run this one,
+through :func:`_made_blocks`, whose docstring describes the claims and
+what happens when the worker fails; the output does not depend on the
+worker.
 
 Disdrometer tracks: CSV with mandatory header
 ``timestamp_s,rate_mm_h,segment_id``.
@@ -69,8 +59,9 @@ import stat
 import struct
 import tempfile
 import warnings as _warnings
+from collections import deque
 from contextlib import contextmanager, suppress
-from functools import partial
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -191,59 +182,34 @@ def read_scan_blocks(path):
     file raises when its block is reached, after the blocks ahead of it
     have been yielded.
 
-    A regular file of more than one block is parsed by two processes where
-    two CPUs may run this one (:func:`_block_worker`): a forked worker
-    opens the file itself, cuts the same blocks and parses each block that
-    it claims (:func:`_claimed_blocks`), sent back as one pickle. This
-    process parses the blocks that it claims, and a worker's block too
-    unless the worker parsed the block of the same offset and length, so
-    every error is raised here, as with one process. The worker is killed
-    and joined when the reading ends: by exhaustion, an error or the
-    generator's close.
+    A regular file of more than one block is parsed through
+    :func:`_made_blocks`, whose worker opens the file again and cuts the
+    same blocks; both processes parse with :func:`_parse_claimed`. This
+    process parses a block again, line by line, unless it has a clean parse
+    of the block of the same offset and length, so every error is raised
+    here, as with one process.
     """
-    lines_before = offset = k = 0
+    lines_before = 0
     with open(path, "rb") as handle:
         info = os.fstat(handle.fileno())
         several = stat.S_ISREG(info.st_mode) and info.st_size > SCAN_BLOCK_BYTES
-        with _block_worker(partial(_claimed_blocks, path, info) if several else None) as claims:
-            rest, ahead = b"", None
-            while True:
-                if ahead:  # made here while the worker made the block before it
-                    (data, sent), ahead = ahead, None
-                    size = sent[1]
-                else:
-                    data, rest = _next_lines(handle, rest)
-                    if not data:
-                        return
-                    size = len(data)
-                    source, sent = claims.source(k) if claims else _HERE, None
-                    if source == _AHEAD:
-                        following, rest = _next_lines(handle, rest)
-                        if following:
-                            made = _parse_claimed(offset + size, following)
-                            # Its text is kept only to be parsed again here.
-                            ahead = following if made[2] is None else None, made
-                            del following
-                    if source != _HERE:
-                        try:
-                            sent = claims.receive()
-                        except OSError:  # the worker died or could not read: parse the rest here
-                            claims = None
-                # The worker read the file again, which may have changed since.
-                parsed = sent[2] if sent and sent[:2] == (offset, size) else None
-                offset, k = offset + size, k + 1
-                ids, times, n_points, quads, n_lines = (
-                    parsed or _parse_block(data) or _parse_lines(data, path, lines_before)
+        worker_jobs = _reopened_jobs(path, info) if several else None
+        for job, made in _made_blocks(_file_jobs(handle), _parse_claimed, worker_jobs):
+            # The worker read the file again, which may have changed since.
+            if job and made and made[:2] != (job[0], len(job[1])):
+                made = None
+            ids, times, n_points, quads, n_lines = (
+                made[2] if made else _parse_lines(job[1], path, lines_before)
+            )
+            # The text is not held while the consumer works on its scans.
+            del job, made
+            lines_before += n_lines
+            if len(ids):
+                offsets = np.zeros(len(ids) + 1, dtype=np.intp)
+                np.cumsum(n_points, out=offsets[1:])
+                yield ScanTable._trusted(
+                    _id_array(ids), times, offsets, quads[:, :3], quads[:, 3]
                 )
-                # The text is not held while the consumer works on its scans.
-                del data
-                lines_before += n_lines
-                if len(ids):
-                    offsets = np.zeros(len(ids) + 1, dtype=np.intp)
-                    np.cumsum(n_points, out=offsets[1:])
-                    yield ScanTable._trusted(
-                        _id_array(ids), times, offsets, quads[:, :3], quads[:, 3]
-                    )
 
 
 def _next_lines(handle, rest: bytes):
@@ -263,33 +229,38 @@ def _next_lines(handle, rest: bytes):
     return rest, b""
 
 
-def _claimed_blocks(path, info, claim):
-    """Worker body of :func:`read_scan_blocks`: :func:`_parse_claimed` of
-    each block of the file that ``path`` names that ``claim()`` gives the
-    worker; none when ``path`` no longer names the file of stat result
-    ``info``."""
+def _file_jobs(handle):
+    """The blocks of :func:`_next_lines` of a binary ``handle`` as
+    ``(offset, data)`` jobs, in file order; the iterator holds none."""
+    rest, offset = b"", 0
+
+    def next_job():
+        nonlocal rest, offset
+        data, rest = _next_lines(handle, rest)
+        offset += len(data)
+        return (offset - len(data), data) if data else None
+
+    return iter(next_job, None)
+
+
+def _reopened_jobs(path, info):
+    """In the worker: the jobs of :func:`_file_jobs` of the file that
+    ``path`` names, opened again; none when ``path`` no longer names the
+    file of stat result ``info``."""
     with open(path, "rb") as handle:
-        if not os.path.samestat(info, os.fstat(handle.fileno())):
-            return
-        rest, offset, k, mine = b"", 0, 0, claim()
-        while True:
-            data, rest = _next_lines(handle, rest)
-            if not data:
-                return
-            if k == mine:
-                yield _parse_claimed(offset, data)
-                mine = claim()
-            offset, k = offset + len(data), k + 1
+        if os.path.samestat(info, os.fstat(handle.fileno())):
+            yield from _file_jobs(handle)
 
 
-def _parse_claimed(offset: int, data: bytes):
-    """A block parsed before the reader reaches it, by the worker or ahead
-    of its turn here: its offset, its length and what :func:`_parse_block`
-    gives, or None where that raises."""
-    parsed = None
+def _parse_claimed(job):
+    """The make of :func:`read_scan_blocks`: the offset of an ``(offset,
+    data)`` job, its length and what :func:`_parse_block` gives, or None
+    where that gives None or raises."""
+    offset, data = job
     with suppress(InvalidInputError):  # raised by the reader when it gets there
-        parsed = _parse_block(data)
-    return offset, len(data), parsed
+        if parsed := _parse_block(data):
+            return offset, len(data), parsed
+    return None
 
 
 # The worker's pipe holds about two pickled blocks of synth text (100 frames
@@ -299,78 +270,113 @@ def _parse_claimed(offset: int, data: bytes):
 # 1 MiB is the most that Linux lets an unprivileged process ask by default.
 _PIPE_BYTES = 1 << 20
 
-# Where a block comes from (:meth:`_Claims.source`).
-_HERE, _WORKER, _AHEAD = "here", "worker", "ahead"
-
-# The claim token: the next unclaimed block, and how many blocks the
-# worker has finished.
+# The claim token: the next unclaimed job, and how many jobs the worker
+# has finished.
 _TOKEN = struct.Struct("qq")
 
 
-def _worker_count() -> int:
-    """2 when this process may run on two or more CPUs and can fork, else 1."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return 2 if len(os.sched_getaffinity(0)) >= 2 else 1
+def _made_blocks(jobs, make, worker_jobs):
+    """Yield ``(job, make(job))`` for each job of ``jobs``, in order, each
+    block made by this process or by a forked worker.
 
+    ``worker_jobs`` are the same jobs as the worker finds them: only the
+    worker iterates them, after the fork. Without them, where this process
+    may run on one CPU only, or where it cannot fork, this process makes
+    every block. Otherwise the jobs are numbered from 0, and whichever
+    process is free claims the next unclaimed one, through a one-message
+    token pipe (:class:`_Token`) made before the fork. When this process
+    reaches a job that the worker is still making, it claims and makes the
+    job after it meanwhile, then waits for the worker's block. It holds that
+    one block made ahead, and its job only where ``make`` gave None; the
+    pair of a block made ahead is ``(None, block)`` otherwise. No pair is
+    held here once it has been yielded.
 
-@contextmanager
-def _block_worker(body):
-    """Yield the :class:`_Claims` of a forked worker that makes the blocks
-    it claims, or None where a worker does not help (no ``body``, one CPU,
-    no fork).
-
-    Blocks are numbered from 0 in the order that this process takes them.
-    Whichever process is free claims the next unclaimed block: this process
-    through :meth:`_Claims.source`, the worker through the ``claim``
-    function that ``body(claim)`` is called with, in the worker only.
-    ``claim()`` returns the index of the worker's next block; the body
-    yields that block, any picklable object, and calls it again for the
-    next. The claims go through a one-message token pipe (:class:`_Token`)
-    made before the fork.
-
-    The worker writes each block as one pickle (:func:`_send_blocks`) to
-    a pipe widened to _PIPE_BYTES, so it can go on to its next block
-    before this process takes the last one; a write waits while the pipe
-    is full. ``pickle.load`` is safe here: the pipe is made before the fork
-    and only the worker writes to it. An error raised by ``body`` is raised
-    by :meth:`_Claims.receive`; a worker that ends before its blocks do,
-    between or inside a pickle, raises ChildProcessError there, and one
-    that ends while it holds the token leaves the rest to this process.
-    The worker closes this process's end of the pipe, so its writes fail,
-    and its claims too, once this process is gone; it is killed and joined
-    on every path out of the block.
+    The worker writes each block to a pipe widened to _PIPE_BYTES as one
+    pickle (protocol 5, which writes an array's buffer as raw bytes), so it
+    can go on to its next job before this process takes the last block.
+    ``pickle.load`` is safe here: the pipe is made before the fork and only
+    the worker writes to it. An exception that the worker's ``make`` raises
+    is raised here, as itself, in its job's turn. A worker that ends early,
+    that ends while it holds the token, or whose pipe breaks leaves its job
+    and every later one to this process, so the pairs are those of one
+    process. The worker ignores SIGINT and closes this process's end of the
+    pipe, so its writes and its claims fail once this process has gone; it
+    is killed and joined on every path out: the end of the jobs, an error
+    or the generator's close. Python 3.12 and later may warn
+    (DeprecationWarning) that the process forks while it has other threads:
+    OpenBLAS's pool, which numpy may start at import unless
+    OPENBLAS_NUM_THREADS=1. The workers only parse, draw and format scans;
+    the warning is left as it is, not filtered.
     """
-    if body is None or _worker_count() < 2:
-        yield None
-        return
-    import fcntl
+    jobs = iter(jobs)
+    two_cpus = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+    if worker_jobs is not None and two_cpus and hasattr(os, "fork"):
+        import fcntl
 
-    token = _Token()
-    read_fd, write_fd = os.pipe()
-    # Linux only; elsewhere the pipe keeps its size and the worker waits more.
-    with suppress(AttributeError, OSError):
-        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-    pid = os.fork()
-    if pid == 0:
-        code = 1
+        token = _Token()
+        read_fd, write_fd = os.pipe()
+        # Linux only; elsewhere the pipe keeps its size and the worker waits more.
+        with suppress(AttributeError, OSError):
+            fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                os.close(read_fd)
+                _send_blocks(worker_jobs, make, token, write_fd)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_fd)
+        pipe, ready, k, received = open(read_fd, "rb"), deque(), 0, 0
         try:
-            os.close(read_fd)
-            _send_blocks(body(token.claimer(write_fd)), write_fd)
-            code = 0
+            for job in jobs:
+                numbers = token.take(pipe.fileno())  # None once the worker has gone with it
+                gone = numbers is None
+                if not gone and numbers[0] == k:  # unclaimed: this process makes job k
+                    token.put(k + 1, numbers[1])
+                    ready.append((job, make(job)))
+                elif not gone:
+                    # The worker finishes its jobs in claim order, so it is
+                    # making job k unless it has finished more than were received.
+                    next_job, finished = numbers
+                    making = finished == received
+                    token.put(next_job + making, finished)
+                    for ahead in islice(jobs, 1 if making else 0):  # job k + 1
+                        made = make(ahead)
+                        ready.append((ahead if made is None else None, made))
+                        k += 1
+                        del ahead, made
+                    try:
+                        ok, block = pickle.load(pipe)
+                    except (OSError, EOFError, pickle.UnpicklingError):
+                        gone = True  # the worker ended between or inside blocks
+                    else:
+                        received += 1
+                        if not ok:
+                            raise block
+                        ready.appendleft((job, block))
+                        del block
+                if gone:  # job k and the rest are made here
+                    ready.appendleft((job, make(job)))
+                del job
+                while ready:
+                    yield ready.popleft()
+                if gone:
+                    break
+                k += 1
         finally:
-            os._exit(code)
-    os.close(write_fd)
-    claims = _Claims(token, open(read_fd, "rb"), pid)
-    try:
-        yield claims
-    finally:
-        claims.close()
+            pipe.close()
+            token.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    # map holds no pair once it has been yielded, as a loop variable would.
+    yield from map(lambda job: (job, make(job)), jobs)
 
 
 class _Token:
-    """The claim token of :func:`_block_worker`: a pipe that holds one
-    message, the next unclaimed block and how many blocks the worker has
+    """The claim token of :func:`_made_blocks`: a pipe that holds one
+    message, the next unclaimed job and how many jobs the worker has
     finished. A process holds the token from reading the message to
     writing the next one, while the other waits for it."""
 
@@ -395,103 +401,44 @@ class _Token:
                 return None
             gone = any(fd == hangup_fd for fd, _ in poller.poll())
 
-    def put(self, next_block: int, finished: int) -> None:
-        os.write(self.write_fd, _TOKEN.pack(next_block, finished))
+    def put(self, next_job: int, finished: int) -> None:
+        os.write(self.write_fd, _TOKEN.pack(next_job, finished))
 
-    def claimer(self, write_fd):
-        """The worker's ``claim``: each call marks the block of the last
-        call finished and claims the next unclaimed block."""
-        finished_one = False
-
-        def claim() -> int:
-            nonlocal finished_one
-            token = self.take(write_fd)
-            if token is None:
-                raise BrokenPipeError("the reader of the scan worker has gone")
-            next_block, finished = token
-            self.put(next_block + 1, finished + finished_one)
-            finished_one = True
-            return next_block
-
-        return claim
+    def claim(self, hangup_fd, finished: int) -> int:
+        """In the worker: mark ``finished`` (0 or 1) more jobs finished, and
+        claim the next unclaimed job."""
+        token = self.take(hangup_fd)
+        if token is None:
+            raise BrokenPipeError("the parent of the block worker has gone")
+        self.put(token[0] + 1, token[1] + finished)
+        return token[0]
 
     def close(self) -> None:
         os.close(self.read_fd)
         os.close(self.write_fd)
 
 
-class _Claims:
-    """This process's side of :func:`_block_worker`: where each block comes
-    from, the worker's blocks, and the worker's end."""
-
-    def __init__(self, token: _Token, pipe, pid: int):
-        self.token, self.pipe, self.pid = token, pipe, pid
-        self.received = 0  # of the worker's blocks
-        self.token_lost = False
-        self.status = None
-
-    def source(self, k: int) -> str:
-        """Where block k comes from, all blocks before it taken: _HERE when
-        this process makes it, now claimed; _WORKER when the worker has made
-        it, and _AHEAD when the worker is making it and this process has
-        claimed block k + 1 to make meanwhile. In the last two cases
-        :meth:`receive` returns block k; this process holds at most the one
-        block made ahead, and waits for the worker's only after making it.
-        Once the worker has gone with the token, every block is _HERE."""
-        token = None if self.token_lost else self.token.take(self.pipe.fileno())
-        if token is None:
-            self.token_lost = True
-            return _HERE
-        next_block, finished = token
-        if next_block == k:
-            self.token.put(k + 1, finished)
-            return _HERE
-        if finished > self.received:
-            self.token.put(next_block, finished)
-            return _WORKER
-        # The worker finishes its blocks in claim order, so block k is the
-        # one it is making, and it has claimed no other: next_block is k + 1.
-        self.token.put(next_block + 1, finished)
-        return _AHEAD
-
-    def receive(self):
-        """The worker's next block, in the order of its claims."""
-        try:
-            ok, item = pickle.load(self.pipe)
-        except (EOFError, pickle.UnpicklingError):  # the worker ended between or inside items
-            raise ChildProcessError(f"scan worker exited with code {self.join()}") from None
-        if not ok:
-            raise item
-        self.received += 1
-        return item
-
-    def join(self) -> int:
-        if self.status is None:
-            self.status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        return self.status
-
-    def close(self) -> None:
-        self.pipe.close()
-        self.token.close()
-        if self.status is None:
-            os.kill(self.pid, signal.SIGKILL)
-        self.join()
-
-
-def _send_blocks(results, write_fd) -> None:
-    """In the worker: write each item of ``results`` to the pipe ``write_fd``
-    as one pickle (protocol 5, which writes an array's buffer as raw
-    bytes) of ``(True, item)``, or of ``(False, error)`` for the error
-    that stopped them."""
+def _send_blocks(jobs, make, token, write_fd) -> None:
+    """The worker of :func:`_made_blocks`: for each of ``jobs`` that it
+    claims, write ``(True, make(job))`` to the pipe ``write_fd`` as one
+    pickle, or ``(False, error)`` for the error that ``make`` raised, and
+    then stop."""
     # An interrupt reaches the parent too, which kills the worker.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     with open(write_fd, "wb") as pipe:
-        try:
-            for item in results:
-                pickle.dump((True, item), pipe, protocol=5)
+        mine, k = token.claim(write_fd, 0), 0
+        for job in jobs:
+            if k == mine:
+                try:
+                    item = True, make(job)
+                except Exception as exc:
+                    item = False, exc
+                pickle.dump(item, pipe, protocol=5)
                 pipe.flush()
-        except Exception as exc:
-            pickle.dump((False, exc), pipe, protocol=5)
+                if not item[0]:
+                    return
+                mine = token.claim(write_fd, 1)
+            k += 1
 
 
 def read_scans(path) -> ScanTable:

@@ -152,6 +152,7 @@ def quantile_thresholds(targets, depth: int, y_range=(0.0, 80.0)) -> list:
     if not 0 <= depth <= MAX_DEPTH:
         raise InvalidInputError(f"depth must be in [0, {MAX_DEPTH}]")
     y = np.asarray(targets, dtype=float).reshape(-1)
+    n_above = int(np.count_nonzero(y >= hi))
     y = np.sort(y[(y >= lo) & (y < hi)])
     n, n_experts = y.size, 2**depth
     enough = n >= 2 * n_experts
@@ -163,10 +164,11 @@ def quantile_thresholds(targets, depth: int, y_range=(0.0, 80.0)) -> list:
         # Ties at a cut can still leave a range with fewer than 2 targets.
         enough = np.diff(np.searchsorted(y, [lo, *cuts, hi])).min() >= 2
     if not enough:
+        above = f"; {n_above} more lie at or above {hi}: raise --y-max" if n_above else ""
         raise TrainingError(
             f"cannot derive depth-{depth} thresholds from {np.unique(y).size} distinct "
             f"training targets in [{lo}, {hi}): each of the {n_experts} expert ranges "
-            "needs at least 2; pass --thresholds or a smaller --depth"
+            f"needs at least 2; pass --thresholds or a smaller --depth{above}"
         )
     heap = [0.0] * len(cuts)
     for node, cut in zip(_inorder(range(len(cuts))), cuts):

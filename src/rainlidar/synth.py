@@ -21,13 +21,15 @@ output.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .features import CropBox, Scan, ScanTable
-from .io import _AHEAD, _HERE, _block_worker, _scan_block_text, atomic_open
+from .io import _made_blocks, _scan_block_text, atomic_open
 from .pipeline import RainSeries
 
 # Fixed sub-stream tags fanned out from the session seed.
@@ -309,7 +311,12 @@ def _draw_points(rate, params, box, seed, count_scale, intensity_scale, extra_cl
 
 
 def _fluctuation(times: np.ndarray, amplitude: float, seed: int) -> np.ndarray:
-    """Slow smooth multiplicative rate fluctuation, deterministic in t."""
+    """Slow smooth multiplicative rate fluctuation, deterministic in t.
+
+    ``amplitude`` must lie in [0, 1]: above 1 the factor 1 + fluctuation
+    can turn negative, and the rate would be clipped at 0 there."""
+    if not 0 <= amplitude <= 1:
+        raise InvalidInputError(f"fluctuation must be in [0, 1], got {amplitude}")
     if amplitude == 0:
         return np.zeros_like(times)
     rng = np.random.default_rng([_FLUCT_STREAM, int(seed)])
@@ -361,9 +368,11 @@ def generate_session(
     draws, a sequence of the same :class:`Scan`; the series is
     :func:`disdrometer_series`.
     """
+    # The series first: it checks its options before any scan is drawn.
+    series = disdrometer_series(profile, seed, noise_sigma, bias, fluctuation)
     frames = _SessionFrames(profile, params, box, seed, fluctuation, disturbance)
     scans = ScanTable.concat(frames.block(a, a + SESSION_BLOCK_FRAMES) for a in frames.starts)
-    return scans, disdrometer_series(profile, seed, noise_sigma, bias, fluctuation)
+    return scans, series
 
 
 def session_scans(
@@ -393,6 +402,12 @@ class _SessionFrames:
 
     def __init__(self, profile, params, box, seed, fluctuation, disturbance):
         self.params = params or default_regime_params()
+        top = max(seg.rate for seg in profile.segments)
+        if top > self.params.r_max:
+            raise InvalidInputError(
+                f"segment rate {top} mm/h is above the noise regime table's r_max of "
+                f"{self.params.r_max} mm/h"
+            )
         self.box = box
         self.seed = int(seed)
         total = profile.total_duration
@@ -450,39 +465,22 @@ def write_session_scans(
     The session is set up first, so bad arguments raise before any output.
     The frames are drawn in the :class:`ScanTable` blocks of
     SESSION_BLOCK_FRAMES that :func:`session_scans` draws, and each block
-    is formatted by the one formatter of :func:`rainlidar.io.write_scans`;
-    this process writes the blocks in order. When it may run on two or
-    more CPUs, a forked worker makes the text of the blocks that it claims
-    while this process makes the others, each process taking the next
-    block when it is free (the worker of
-    :func:`rainlidar.io.read_scan_blocks`, with the same claims, pipe, kill
-    and join). Each scan draws from a stream keyed by its frame index, so
-    the bytes do not depend on the worker or on where the blocks are cut.
-    Python 3.12 and later may warn about the fork, as the
-    :mod:`rainlidar.io` docstring describes.
+    is formatted by the one formatter of :func:`rainlidar.io.write_scans`,
+    on two processes where :func:`rainlidar.io._made_blocks` says; this
+    process writes the blocks in order. Each scan draws from a stream keyed
+    by its frame index, so the bytes do not depend on the worker or on
+    where the blocks are cut.
     """
     frames = _SessionFrames(profile, None, box, seed, fluctuation, disturbance)
     starts = frames.starts
 
-    def table(k):
-        return frames.block(starts[k], starts[k] + SESSION_BLOCK_FRAMES)
+    def text(start):
+        return _scan_block_text(frames.block(start, start + SESSION_BLOCK_FRAMES))
 
-    def claimed(claim):
-        while (k := claim()) < len(starts):
-            yield _scan_block_text(table(k))
-
-    with atomic_open(path) as handle, _block_worker(claimed if len(starts) > 1 else None) as claims:
-        ahead = None
-        for k in range(len(starts)):
-            if ahead is not None:  # drawn while the worker made the block before it
-                text, ahead = _scan_block_text(ahead), None
-            else:
-                source = claims.source(k) if claims else _HERE
-                if source == _AHEAD and k + 1 < len(starts):
-                    # Drawn now and formatted in turn: the table holds less than its text.
-                    ahead = table(k + 1)
-                text = _scan_block_text(table(k)) if source == _HERE else claims.receive()
-            handle.write(text)
+    blocks = _made_blocks(starts, text, starts if len(starts) > 1 else None)
+    with closing(blocks), atomic_open(path) as handle:
+        # map, unlike a loop variable, holds no text once it has been written.
+        handle.writelines(map(itemgetter(1), blocks))
     return len(frames.times)
 
 
@@ -494,6 +492,8 @@ def disdrometer_series(
     fluctuation: float = 0.12,
 ) -> RainSeries:
     """The disdrometer series of :func:`generate_session`."""
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise InvalidInputError(f"noise sigma must be finite and non-negative, got {noise_sigma}")
     total = profile.total_duration
     disdro_rate = profile.sensor.disdrometer_rate
     n_meas = int(round(total * disdro_rate))

@@ -5,13 +5,10 @@ import os
 import pathlib
 import pickle
 import re
-import select
-import signal
 import subprocess
 import sys
 import threading
 import time
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -31,6 +28,13 @@ from rainlidar.synth import (
     SensorSpec,
     _draw_bursts,
     generate_session,
+)
+from tests.conftest import (
+    assert_no_child_process,
+    exit_holding_the_token,
+    time_limit,
+    use_cpus,
+    wait_until,
 )
 from tests.test_pipeline import slide_windows_oracle
 
@@ -104,85 +108,6 @@ class TestSynth:
         m = re.search(r"synth: (?P<scans>\d+) scans over .*; (?P<measurements>\d+) disdrometer", stdout)
         assert m, stdout
         assert (int(m["scans"]), int(m["measurements"])) == (len(scans), len(series)) == (1200, 60)
-
-
-def assert_no_child_process():
-    """No child of this process is left, running or unreaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def use_cpus(monkeypatch, n):
-    """Let the session writer see n CPUs, so it runs with 1 or 2 processes."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
-def wait_until(done) -> bool:
-    """Whether ``done()`` is true, waiting up to 30 s for it."""
-    deadline = time.monotonic() + 30
-    while not done() and time.monotonic() < deadline:
-        time.sleep(0.005)
-    return done()
-
-
-class Flag:
-    """A flag that one process raises and another waits for: a pipe made
-    before the fork, readable once raised."""
-
-    def __init__(self):
-        self.read_fd, self.write_fd = os.pipe()
-
-    def raise_(self):
-        os.write(self.write_fd, b"x")
-
-    def wait(self) -> bool:
-        """Whether the flag is raised, waiting up to 30 s for it."""
-        return bool(select.select([self.read_fd], [], [], 30)[0])
-
-    def close(self):
-        os.close(self.read_fd)
-        os.close(self.write_fd)
-
-
-@pytest.fixture
-def flags():
-    """A function that makes a :class:`Flag`, closed after the test."""
-    made = []
-    yield lambda: made.append(Flag()) or made[-1]
-    for flag in made:
-        flag.close()
-
-
-@contextmanager
-def time_limit(seconds):
-    """Raise TimeoutError in this process once the block has run ``seconds``,
-    so that a hang fails the test instead of stopping the suite."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def exit_holding_the_token(monkeypatch, nth):
-    """Make the worker exit, code 7, instead of putting back the token that
-    it has taken for its ``nth`` claim."""
-    put, parent, puts = rio._Token.put, os.getpid(), []
-
-    def put_or_exit(self, *numbers):
-        if os.getpid() != parent:
-            puts.append(numbers)  # the worker's own list, after the fork
-            if len(puts) == nth:
-                os._exit(7)
-        put(self, *numbers)
-
-    monkeypatch.setattr(rio._Token, "put", put_or_exit)
 
 
 class TestSessionWriter:
@@ -355,13 +280,19 @@ class TestSessionWriter:
         assert_no_child_process()
         assert list(tmp_path.iterdir()) == []
 
-    def test_worker_that_dies_fails_the_command(self, tmp_path, monkeypatch, capsys, fail_in_block):
+    def test_worker_that_dies_leaves_the_rest_here(self, tmp_path, monkeypatch, capsys, fail_in_block):
+        one, two = tmp_path / "one", tmp_path / "two"
+        one.mkdir(), two.mkdir()
+        use_cpus(monkeypatch, 1)
+        assert self.synth_into(one) == EXIT_OK
         use_cpus(monkeypatch, 2)
         fail_in_block(1, True, lambda: os._exit(7))
-        assert self.synth_into(tmp_path) == EXIT_IO
-        assert "scan worker exited with code 7" in capsys.readouterr().err
+        assert self.synth_into(two) == EXIT_OK
+        assert capsys.readouterr().err == ""
         assert_no_child_process()
-        assert list(tmp_path.iterdir()) == []
+        for name in ("scans.txt", "rain.csv"):
+            assert (two / name).read_bytes() == (one / name).read_bytes()
+        assert sorted(p.name for p in two.iterdir()) == ["rain.csv", "scans.txt"]
 
     @pytest.mark.parametrize(
         "error", [InvalidInputError("injected"), KeyError("frame", 3)], ids=repr
@@ -1077,7 +1008,7 @@ class TestTwoProcessReader:
         assert ids.tolist() == list(range(session["scans"].read_bytes().count(b"\n")))
 
     def test_this_process_makes_the_next_block_while_the_worker_makes_one(
-        self, session, monkeypatch, flags
+        self, session, tmp_path, monkeypatch, flags
     ):
         monkeypatch.setattr(rio, "SCAN_BLOCK_BYTES", 300)
         use_cpus(monkeypatch, 1)
@@ -1085,16 +1016,23 @@ class TestTwoProcessReader:
         use_cpus(monkeypatch, 2)
         parse_claimed, parent = rio._parse_claimed, os.getpid()
         worker_started, made_ahead = flags(), flags()
+        first_of_worker = tmp_path / "first-of-worker"
         ahead = []
 
-        def spied_parse_claimed(offset, data):
+        def spied_parse_claimed(job):
+            offset = job[0]
             if os.getpid() == parent:
-                ahead.append(offset)
-                made_ahead.raise_()
+                # a block past the worker's first, made while the worker waits in that one
+                assert worker_started.wait()
+                if offset > int(first_of_worker.read_text()):
+                    ahead.append(offset)
+                    made_ahead.raise_()
             else:  # the worker's blocks wait until this process has made one ahead
+                if not first_of_worker.exists():
+                    first_of_worker.write_text(str(offset))
                 worker_started.raise_()
                 assert made_ahead.wait()
-            return parse_claimed(offset, data)
+            return parse_claimed(job)
 
         monkeypatch.setattr(rio, "_parse_claimed", spied_parse_claimed)
         got = []
@@ -1259,23 +1197,25 @@ class TestTwoProcessReader:
         use_cpus(monkeypatch, 1)
         want = self.table_bytes(rio.read_scans(session["scans"]))
         use_cpus(monkeypatch, 2)
-        claimed_blocks, dump, load = rio._claimed_blocks, pickle.dump, pickle.load
-        late, worker_late = 10 * rio.SCAN_BLOCK_BYTES, flags()
+        parse_claimed, dump, load, parent = rio._parse_claimed, pickle.dump, pickle.load, os.getpid()
+        late, worker_late, last = 10 * rio.SCAN_BLOCK_BYTES, flags(), [None]
 
-        def failing_claimed_blocks(path, info, claim):
-            last = None
-            for offset, size, parsed in claimed_blocks(path, info, claim):
-                if offset > late:
-                    worker_late.raise_()
-                if failure == "declines":
-                    parsed = None
-                elif failure == "dies" and offset > late:
-                    os._exit(7)
-                elif failure == "misplaced":
-                    # as if the file changed before the worker read it: another
-                    # block's scans, one byte further on
-                    offset, parsed, last = offset + 1, last, parsed
-                yield offset, size, parsed
+        def failing_parse_claimed(job):
+            made = parse_claimed(job)
+            if os.getpid() == parent:
+                return made
+            offset, size, parsed = made
+            if offset > late:
+                worker_late.raise_()
+            if failure == "declines":
+                return None
+            elif failure == "dies" and offset > late:
+                os._exit(7)
+            elif failure == "misplaced":
+                # as if the file changed before the worker read it: another
+                # block's scans, one byte further on
+                offset, parsed, last[0] = offset + 1, last[0], parsed
+            return offset, size, parsed
 
         def dump_half_then_exit(obj, file, protocol=None):
             """Write half of a late item's pickle, then end the worker."""
@@ -1295,7 +1235,7 @@ class TestTwoProcessReader:
                 errors.append(type(exc))
                 raise
 
-        monkeypatch.setattr(rio, "_claimed_blocks", failing_claimed_blocks)
+        monkeypatch.setattr(rio, "_parse_claimed", failing_parse_claimed)
         if failure == "dies-inside-an-item":
             monkeypatch.setattr(pickle, "dump", dump_half_then_exit)
             monkeypatch.setattr(pickle, "load", spied_load)
@@ -1310,17 +1250,18 @@ class TestTwoProcessReader:
         lines = session["scans"].read_text().splitlines(keepends=True)
         scans = tmp_path / "big-ids.txt"
         scans.write_text("".join(f"{2**70 + i} {line.split(' ', 1)[1]}" for i, line in enumerate(lines)))
-        claimed_blocks, parsed_ids = rio._claimed_blocks, tmp_path / "parsed-ids"
-        worker_parsed = flags()
+        parse_claimed, parsed_ids = rio._parse_claimed, tmp_path / "parsed-ids"
+        worker_parsed, parent = flags(), os.getpid()
 
-        def spied_claimed_blocks(path, info, claim):
-            for item in claimed_blocks(path, info, claim):
+        def spied_parse_claimed(job):
+            made = parse_claimed(job)
+            if os.getpid() != parent:
                 with open(parsed_ids, "a") as handle:
-                    handle.write(f"{min(item[2][0])}\n" if item[2] else "none\n")
+                    handle.write(f"{min(made[2][0])}\n" if made else "none\n")
                 worker_parsed.raise_()
-                yield item
+            return made
 
-        monkeypatch.setattr(rio, "_claimed_blocks", spied_claimed_blocks)
+        monkeypatch.setattr(rio, "_parse_claimed", spied_parse_claimed)
         tables = []
         for cpus in (1, 2):
             use_cpus(monkeypatch, cpus)
@@ -1554,6 +1495,11 @@ class TestExitCodes:
             ["--frame-rate", "nan"],
             ["--frame-rate", "inf"],
             ["--disdro-rate", "nan"],
+            ["--segments", "60:300:5"],
+            ["--segments", "60:1e300:5"],
+            ["--noise-sigma", "-1"],
+            ["--fluctuation", "5"],
+            ["--fluctuation", "-0.5"],
         ],
         ids=" ".join,
     )

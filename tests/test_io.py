@@ -3,8 +3,11 @@
 import contextlib
 import json
 import os
+import pickle
+import random
 import re
 import stat
+import time
 import tracemalloc
 
 import numpy as np
@@ -16,6 +19,7 @@ from rainlidar.errors import FileFormatError, InvalidInputError
 from rainlidar.features import Scan, ScanTable, WindowSample
 from rainlidar.moe import build_tree_spec, infer, infer_batch, train
 from rainlidar.pipeline import Dataset, RainSeries
+from tests.conftest import assert_no_child_process, exit_holding_the_token, time_limit, use_cpus
 from tests.test_moe import make_samples
 
 
@@ -483,6 +487,148 @@ class TestScanReaderBlocks:
 
         monkeypatch.setattr(rio, "_parse_block", growing)
         assert_same_scans(rio.read_scans(path), first + later)
+
+
+# Jobs of the :class:`TestMadeBlocks` tests: enough that each process claims many.
+N_JOBS = 40
+
+
+def sleep_a_little(job):
+    """Sleep up to 2 ms, a random time for each job and process."""
+    time.sleep(random.Random(job * 7919 + os.getpid()).uniform(0.0, 0.002))
+
+
+class TestMadeBlocks:
+    """io._made_blocks on a synthetic job list, with no file and no session:
+    the block of job j is made from j alone, in this process or the worker."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("slow", ["neither", "worker", "this-process", "both"])
+    def test_every_block_is_yielded_once_in_order(self, monkeypatch, flags, cpus, slow):
+        use_cpus(monkeypatch, cpus)
+        parent, worker_made = os.getpid(), flags()
+
+        def make(job):
+            here = os.getpid() == parent
+            if slow in ("both", "this-process" if here else "worker"):
+                sleep_a_little(job)
+            block = None if job % 5 == 0 else (job * job, here)
+            if not here and block:
+                worker_made.raise_()
+            elif here and cpus == 2:  # so that the worker certainly makes a block
+                assert worker_made.wait()
+            return block
+
+        with time_limit(30):
+            pairs = list(rio._made_blocks(range(N_JOBS), make, range(N_JOBS)))
+        assert [block and block[0] for _, block in pairs] == [
+            None if j % 5 == 0 else j * j for j in range(N_JOBS)
+        ]
+        # a pair leaves out its job only for a block that this process made ahead
+        for j, (job, block) in enumerate(pairs):
+            assert job == j or (job is None and block[1])
+        assert any(block and not block[1] for _, block in pairs) == (cpus == 2)  # the worker's
+        assert_no_child_process()
+
+    @pytest.mark.parametrize(
+        "failure", ["1st-token-write", "3rd-token-write", "between-items", "inside-an-item"]
+    )
+    def test_worker_that_ends_early_leaves_the_rest_here(self, monkeypatch, flags, failure):
+        def square(job):
+            return job * job
+
+        use_cpus(monkeypatch, 1)
+        want = [block for _, block in rio._made_blocks(range(N_JOBS), square, range(N_JOBS))]
+        use_cpus(monkeypatch, 2)
+        parent, ended, dump = os.getpid(), flags(), pickle.dump
+        made = []  # the worker's own list, after the fork
+
+        def make(job):
+            """The worker ends in its 3rd block; this process waits until it has."""
+            if os.getpid() == parent:
+                assert ended.wait()
+                sleep_a_little(job)
+            else:
+                made.append(job)
+                if len(made) == 3 and failure == "between-items":
+                    ended.raise_()
+                    os._exit(7)
+            return square(job)
+
+        def dump_half_then_exit(obj, file, protocol=None):
+            """Write half of the 3rd block's pickle, then end the worker."""
+            if len(made) == 3:
+                data = pickle.dumps(obj, protocol)
+                file.write(data[: len(data) // 2])
+                file.flush()
+                ended.raise_()
+                os._exit(7)
+            dump(obj, file, protocol=protocol)
+
+        if failure == "inside-an-item":
+            monkeypatch.setattr(pickle, "dump", dump_half_then_exit)
+        elif failure.endswith("token-write"):
+            nth = int(failure[0])
+            exit_holding_the_token(monkeypatch, nth)
+            put, puts = rio._Token.put, []
+
+            def put_after_telling(self, *numbers):
+                if os.getpid() != parent:
+                    puts.append(numbers)
+                    if len(puts) == nth:
+                        ended.raise_()
+                put(self, *numbers)
+
+            monkeypatch.setattr(rio._Token, "put", put_after_telling)
+        with time_limit(30):
+            got = [block for _, block in rio._made_blocks(range(N_JOBS), make, range(N_JOBS))]
+        assert got == want
+        assert_no_child_process()
+
+    @pytest.mark.parametrize(
+        "error", [InvalidInputError("injected"), KeyError("job", 3), OSError(5, "injected")], ids=repr
+    )
+    def test_error_in_the_workers_make_reaches_the_caller_as_itself(self, monkeypatch, flags, error):
+        use_cpus(monkeypatch, 2)
+        parent, raised = os.getpid(), flags()
+
+        def make(job):
+            if os.getpid() != parent:
+                raised.raise_()
+                raise error
+            assert raised.wait()
+            return job * job
+
+        got = []
+        with time_limit(30), pytest.raises(type(error)) as caught:
+            for _, block in rio._made_blocks(range(N_JOBS), make, range(N_JOBS)):
+                got.append(block)
+        assert type(caught.value) is type(error) and caught.value.args == error.args
+        # the blocks before the worker's are yielded first, in order
+        assert got == [j * j for j in range(len(got))] and len(got) < N_JOBS
+        assert_no_child_process()
+
+    @pytest.mark.parametrize(
+        "worker, taken", [("full-pipe", 1), ("full-pipe", 5), ("busy", 1)]
+    )
+    def test_closed_generator_leaves_no_child_process(self, monkeypatch, worker, taken):
+        use_cpus(monkeypatch, 2)
+        parent = os.getpid()
+
+        def make(job):
+            if os.getpid() == parent:
+                sleep_a_little(job)
+            elif worker == "busy" and job >= 1:
+                time.sleep(60)  # the worker is killed, not waited for
+            # blocks of 200 kB: the worker runs ahead until the pipe is full
+            return bytes(200_000)
+
+        with time_limit(30):
+            blocks = rio._made_blocks(range(N_JOBS), make, range(N_JOBS))
+            for _ in range(taken):
+                assert len(next(blocks)[1]) == 200_000
+            blocks.close()
+        assert_no_child_process()
 
 
 @pytest.mark.filterwarnings("ignore:segment 0")

@@ -139,6 +139,15 @@ class TestQuantileThresholds:
         with pytest.raises(TrainingError, match="depth-2 .* 7 distinct"):
             quantile_thresholds(np.arange(7.0), 2)
 
+    def test_targets_above_the_range_name_y_max(self):
+        targets = [5.0, 6.0, 7.0, *np.arange(100.0, 351.0, 10.0)]
+        above = r"smaller --depth; 26 more lie at or above 80\.0: raise --y-max$"
+        with pytest.raises(TrainingError, match=r"3 distinct .*" + above):
+            quantile_thresholds(targets, 2)
+        with pytest.raises(TrainingError) as caught:
+            quantile_thresholds(np.arange(7.0), 2)
+        assert "--y-max" not in str(caught.value)
+
     def test_ties_at_a_cut(self):
         # 30 zeros put every cut at 0: the lowest range [0, 0) is empty.
         targets = np.concatenate([np.zeros(30), [5.0, 6.0]])

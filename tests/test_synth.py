@@ -200,6 +200,69 @@ def per_frame_scans(profile, seed, disturbance):
         yield generate_scan(rate, params, box, seed, frames.times[j], j, *overlay)
 
 
+class TestSessionOptions:
+    """Options that the noise model cannot honour are rejected before any scan is drawn."""
+
+    PROFILE = RainProfile((SegmentSpec(30.0, 20.0, 5.0),), SensorSpec(frame_rate=1.0))
+
+    @staticmethod
+    def wide_table(r_max):
+        """A one-regime table that tiles [0, r_max)."""
+        return NoiseRegimeParams(
+            (RegimeParams((0.0, r_max), (20.0, 0.1, 0.0), 1.0, 0.0, (0.0, 0.1), (0.1, 0.3), 0.3),)
+        )
+
+    @pytest.mark.parametrize("rate", [300.0, 1e300])
+    def test_rate_above_the_regime_table_is_rejected(self, tmp_path, rate):
+        profile = RainProfile((SegmentSpec(60.0, 7.0, 5.0), SegmentSpec(60.0, rate, 5.0)))
+        for start in (
+            lambda: generate_session(profile),
+            lambda: session_scans(profile),
+            lambda: synth.write_session_scans(tmp_path / "scans.txt", profile),
+        ):
+            with pytest.raises(InvalidInputError, match=r"r_max of 80\.0 mm/h"):
+                start()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_wider_table_takes_rates_up_to_its_own_r_max(self):
+        profile = RainProfile((SegmentSpec(5.0, 400.0, 2.0),), SensorSpec(frame_rate=1.0))
+        scans, _ = generate_session(profile, self.wide_table(400.0), seed=2)
+        assert len(scans) == 5 and scans[-1].n_points > 0
+        with pytest.raises(InvalidInputError, match="r_max"):
+            generate_session(profile, default_regime_params())
+        over = RainProfile((SegmentSpec(5.0, 400.5, 2.0),), SensorSpec(frame_rate=1.0))
+        with pytest.raises(InvalidInputError, match=r"400\.5 mm/h .* r_max of 400\.0 mm/h"):
+            generate_session(over, self.wide_table(400.0))
+
+    @pytest.mark.parametrize("sigma", [-1.0, -1e-9, float("nan"), float("inf")])
+    def test_noise_sigma_must_be_finite_and_non_negative(self, monkeypatch, sigma):
+        def drawn(*args):
+            raise AssertionError("a scan was drawn")
+
+        monkeypatch.setattr(synth._SessionFrames, "block", drawn)
+        with pytest.raises(InvalidInputError, match="noise sigma"):
+            disdrometer_series(self.PROFILE, noise_sigma=sigma)
+        with pytest.raises(InvalidInputError, match="noise sigma"):
+            generate_session(self.PROFILE, noise_sigma=sigma)
+
+    @pytest.mark.parametrize("fluctuation", [-0.1, 1.000001, 5.0, float("nan"), float("inf")])
+    def test_fluctuation_must_lie_in_the_unit_interval(self, fluctuation):
+        with pytest.raises(InvalidInputError, match=r"fluctuation must be in \[0, 1\]"):
+            disdrometer_series(self.PROFILE, fluctuation=fluctuation)
+        for start in (
+            lambda: generate_session(self.PROFILE, fluctuation=fluctuation),
+            lambda: session_scans(self.PROFILE, fluctuation=fluctuation),
+        ):
+            with pytest.raises(InvalidInputError, match="fluctuation"):
+                start()
+
+    @pytest.mark.parametrize("fluctuation", [0.0, 1.0])
+    def test_the_ends_of_the_interval_are_accepted(self, fluctuation):
+        scans, series = generate_session(self.PROFILE, seed=1, fluctuation=fluctuation, noise_sigma=0.0)
+        assert len(scans) == 30 and len(series) == 3
+        assert np.all(series.rates >= 0)
+
+
 class TestGenerateSession:
     def test_plateau_tracking(self):
         profile = RainProfile(

@@ -214,7 +214,6 @@ class TrainConfig:
     expert_beta_init: float = 1.0
     max_iters: int = 200
     tol: float = 1e-6
-    record_assignments: bool = False
 
     def __post_init__(self):
         _check_max_iters(self.max_iters)
@@ -285,7 +284,6 @@ def train(samples, spec: TreeSpec, config: TrainConfig | None = None, seed: int 
 
     flags: list = []
     node_counts: dict = {}
-    assignments: dict = {}
 
     gates = []
     for k in range(1, spec.n_gates + 1):
@@ -312,8 +310,6 @@ def train(samples, spec: TreeSpec, config: TrainConfig | None = None, seed: int 
             "n_samples": int(idx.size),
             "n_balanced": int(fit_idx.size),
         }
-        if config.record_assignments:
-            assignments[f"z{k}"] = sorted(int(i) for i in idx)
         gates.append(posterior)
 
     experts = []
@@ -331,8 +327,6 @@ def train(samples, spec: TreeSpec, config: TrainConfig | None = None, seed: int 
         for w in posterior.warnings:
             flags.append(f"expert e{m} (range [{rlo}, {rhi})): {w}")
         node_counts[f"e{m}"] = {"range": (rlo, rhi), "n_samples": int(idx.size)}
-        if config.record_assignments:
-            assignments[f"e{m}"] = sorted(int(i) for i in idx)
         experts.append(posterior)
 
     if n_outside:
@@ -348,8 +342,6 @@ def train(samples, spec: TreeSpec, config: TrainConfig | None = None, seed: int 
         "node_counts": node_counts,
         "warnings": flags,
     }
-    if config.record_assignments:
-        metadata["assignments"] = assignments
     return MoEModel(
         spec=spec,
         gates=tuple(gates),

@@ -28,7 +28,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import InvalidInputError
-from .features import CropBox, Scan, ScanTable
+from .features import CropBox, ScanTable
 from .io import _made_blocks, _scan_block_text, atomic_open
 from .pipeline import RainSeries
 
@@ -43,93 +43,6 @@ _DISTURB_STREAM = 0xD157
 # filtered disdrometer track still follows the fluctuation the scans see.
 _FLUCT_PERIODS = (311.0, 197.0, 127.0)
 _FLUCT_WEIGHTS = (0.5, 0.3, 0.2)
-
-
-@dataclass(frozen=True)
-class SensorSpec:
-    """Acquisition rates: lidar frames and disdrometer measurements (Hz)."""
-
-    frame_rate: float = 10.0
-    disdrometer_rate: float = 0.1
-
-    def __post_init__(self):
-        if not all(math.isfinite(r) and r > 0 for r in (self.frame_rate, self.disdrometer_rate)):
-            raise InvalidInputError("sensor rates must be positive and finite")
-
-
-@dataclass(frozen=True)
-class SegmentSpec:
-    """One experiment segment: duration (s), target rate (mm/h), ramp-in (s)."""
-
-    duration: float
-    rate: float
-    ramp: float = 0.0
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.duration, self.rate, self.ramp)):
-            raise InvalidInputError("segment duration, rate and ramp must be finite")
-        if self.duration <= 0:
-            raise InvalidInputError("segment duration must be positive")
-        if self.rate < 0:
-            raise InvalidInputError("segment rate must be non-negative")
-        if self.ramp < 0 or self.ramp > self.duration:
-            raise InvalidInputError("ramp must be within the segment duration")
-
-
-@dataclass(frozen=True)
-class RainProfile:
-    """Programmed rainfall session: segments plus sensor rates."""
-
-    segments: tuple
-    sensor: SensorSpec = SensorSpec()
-
-    def __post_init__(self):
-        if not self.segments:
-            raise InvalidInputError("profile needs at least one segment")
-        object.__setattr__(self, "segments", tuple(self.segments))
-
-    @property
-    def total_duration(self) -> float:
-        return float(sum(s.duration for s in self.segments))
-
-
-def default_profile() -> RainProfile:
-    """25-minute session: four plateaus at 7/15/30/50 mm/h with 30 s ramps."""
-    return RainProfile(
-        segments=(
-            SegmentSpec(375.0, 7.0, 30.0),
-            SegmentSpec(375.0, 15.0, 30.0),
-            SegmentSpec(375.0, 30.0, 30.0),
-            SegmentSpec(375.0, 50.0, 30.0),
-        )
-    )
-
-
-def segment_index(profile: RainProfile, t: float) -> int:
-    """Index of the segment containing time t (last segment for t past the end)."""
-    elapsed = 0.0
-    for i, seg in enumerate(profile.segments):
-        elapsed += seg.duration
-        if t < elapsed:
-            return i
-    return len(profile.segments) - 1
-
-
-def profile_rate(profile: RainProfile, t: float) -> float:
-    """Programmed rate at time t: linear ramp-in, then plateau, per segment."""
-    previous = 0.0
-    start = 0.0
-    last = len(profile.segments) - 1
-    for i, seg in enumerate(profile.segments):
-        end = start + seg.duration
-        if t < end or i == last:
-            if seg.ramp > 0 and t < start + seg.ramp:
-                frac = max((t - start) / seg.ramp, 0.0)
-                return previous + frac * (seg.rate - previous)
-            return seg.rate
-        previous = seg.rate
-        start = end
-    return previous
 
 
 @dataclass(frozen=True)
@@ -231,6 +144,111 @@ def default_regime_params() -> NoiseRegimeParams:
 
 
 @dataclass(frozen=True)
+class SensorSpec:
+    """Acquisition rates, lidar frames and disdrometer measurements (Hz), and
+    the lidar's rain-noise response, whose ``r_max`` bounds the rates that a
+    session may program."""
+
+    frame_rate: float = 10.0
+    disdrometer_rate: float = 0.1
+    noise: NoiseRegimeParams = default_regime_params()
+
+    def __post_init__(self):
+        if not all(math.isfinite(r) and r > 0 for r in (self.frame_rate, self.disdrometer_rate)):
+            raise InvalidInputError("sensor rates must be positive and finite")
+
+
+@dataclass(frozen=True)
+class SegmentSpec:
+    """One experiment segment: duration (s), target rate (mm/h), ramp-in (s)."""
+
+    duration: float
+    rate: float
+    ramp: float = 0.0
+
+    def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.duration, self.rate, self.ramp)):
+            raise InvalidInputError("segment duration, rate and ramp must be finite")
+        if self.duration <= 0:
+            raise InvalidInputError("segment duration must be positive")
+        if self.rate < 0:
+            raise InvalidInputError("segment rate must be non-negative")
+        if self.ramp < 0 or self.ramp > self.duration:
+            raise InvalidInputError("ramp must be within the segment duration")
+
+
+@dataclass(frozen=True)
+class RainProfile:
+    """Programmed rainfall session: segments plus the sensor.
+
+    Every session entry point takes the profile, so this constructor holds
+    the checks that they share: no segment rate above the sensor's noise
+    table, and no frame or measurement count too large for a numpy array.
+    """
+
+    segments: tuple
+    sensor: SensorSpec = SensorSpec()
+
+    def __post_init__(self):
+        if not self.segments:
+            raise InvalidInputError("profile needs at least one segment")
+        object.__setattr__(self, "segments", tuple(self.segments))
+        top, r_max = max(seg.rate for seg in self.segments), self.sensor.noise.r_max
+        if top > r_max:
+            raise InvalidInputError(
+                f"segment rate {top} mm/h is above the noise regime table's r_max of {r_max} mm/h"
+            )
+        for what, rate in (("frames", self.sensor.frame_rate), ("measurements", self.sensor.disdrometer_rate)):
+            count = self.total_duration * rate
+            # numpy refuses a float64 array whose bytes exceed the largest intp.
+            if count * 8 > np.iinfo(np.intp).max:
+                raise InvalidInputError(f"a session of {count:g} {what} is too large for an array")
+
+    @property
+    def total_duration(self) -> float:
+        return float(sum(s.duration for s in self.segments))
+
+
+def default_profile() -> RainProfile:
+    """25-minute session: four plateaus at 7/15/30/50 mm/h with 30 s ramps."""
+    return RainProfile(
+        segments=(
+            SegmentSpec(375.0, 7.0, 30.0),
+            SegmentSpec(375.0, 15.0, 30.0),
+            SegmentSpec(375.0, 30.0, 30.0),
+            SegmentSpec(375.0, 50.0, 30.0),
+        )
+    )
+
+
+def segment_index(profile: RainProfile, t: float) -> int:
+    """Index of the segment containing time t (last segment for t past the end)."""
+    elapsed = 0.0
+    for i, seg in enumerate(profile.segments):
+        elapsed += seg.duration
+        if t < elapsed:
+            return i
+    return len(profile.segments) - 1
+
+
+def profile_rate(profile: RainProfile, t: float) -> float:
+    """Programmed rate at time t: linear ramp-in, then plateau, per segment."""
+    previous = 0.0
+    start = 0.0
+    last = len(profile.segments) - 1
+    for i, seg in enumerate(profile.segments):
+        end = start + seg.duration
+        if t < end or i == last:
+            if seg.ramp > 0 and t < start + seg.ramp:
+                frac = max((t - start) / seg.ramp, 0.0)
+                return previous + frac * (seg.rate - previous)
+            return seg.rate
+        previous = seg.rate
+        start = end
+    return previous
+
+
+@dataclass(frozen=True)
 class DisturbanceParams:
     """Poisson bursts of rate-independent scan corruption within a session.
 
@@ -256,37 +274,21 @@ class _Burst:
     extra_cluster: float
 
 
-def generate_scan(
-    rate: float,
-    params: NoiseRegimeParams,
-    box: CropBox,
-    seed,
-    timestamp: float = 0.0,
-    frame_id: int = 0,
-    count_scale: float = 1.0,
-    intensity_scale: float = 1.0,
-    extra_cluster: float = 0.0,
-) -> Scan:
-    """One synthetic noise scan at the given rainfall rate.
+def _draw_points(rate, noise, box, seed, count_scale, intensity_scale, extra_cluster) -> np.ndarray:
+    """One synthetic noise scan at the given rainfall rate, as one (n, 4)
+    array of x, y, z and intensity rows.
 
-    Point count is Poisson around the regime curve; a cluster fraction of
-    points is placed in droplet-like Gaussian clumps, the rest uniform in
-    the box with a radial pull towards the sensor. Intensities are Gamma
-    distributed around the regime's decaying mean. The scale/extra
-    arguments let a session overlay disturbance bursts; with the defaults
-    the scan follows the regime model exactly.
+    Point count is Poisson around the curve of the ``noise`` table's regime;
+    a cluster fraction of points is placed in droplet-like Gaussian clumps,
+    the rest uniform in the box with a radial pull towards the sensor.
+    Intensities are Gamma distributed around the regime's decaying mean.
+    The scale/extra arguments let a session overlay disturbance bursts;
+    at 1, 1 and 0 the scan follows the regime model exactly.
     """
-    points = _draw_points(rate, params, box, seed, count_scale, intensity_scale, extra_cluster)
-    return Scan(xyz=points[:, :3], intensity=points[:, 3], timestamp=timestamp, frame_id=frame_id)
-
-
-def _draw_points(rate, params, box, seed, count_scale, intensity_scale, extra_cluster) -> np.ndarray:
-    """The points of :func:`generate_scan` as one (n, 4) array of x, y, z and
-    intensity rows."""
     if rate < 0:
         raise InvalidInputError("rainfall rate must be non-negative")
     rng = np.random.default_rng(seed)
-    regime = params.regime_for(rate)
+    regime = noise.regime_for(rate)
     lam = regime.expected_count(rate) * count_scale
     n = int(rng.poisson(lam))
     h = box.half_extent
@@ -327,6 +329,13 @@ def _fluctuation(times: np.ndarray, amplitude: float, seed: int) -> np.ndarray:
     return amplitude * out
 
 
+def _true_rates(profile: RainProfile, times: np.ndarray, fluctuation: float, seed: int) -> np.ndarray:
+    """The true rate at each of ``times``: the programmed rate times
+    (1 + fluctuation), clipped at 0."""
+    base = np.array([profile_rate(profile, t) for t in times])
+    return np.clip(base * (1.0 + _fluctuation(times, fluctuation, seed)), 0.0, None)
+
+
 def _draw_bursts(params: DisturbanceParams, total: float, seed: int) -> list:
     rng = np.random.default_rng([_DISTURB_STREAM, int(seed)])
     if params.rate_per_minute <= 0:
@@ -350,7 +359,6 @@ def _draw_bursts(params: DisturbanceParams, total: float, seed: int) -> list:
 
 def generate_session(
     profile: RainProfile,
-    params: NoiseRegimeParams | None = None,
     box: CropBox = CropBox(10.0),
     seed: int = 0,
     noise_sigma: float = 0.05,
@@ -364,34 +372,15 @@ def generate_session(
     Disdrometer observations get multiplicative lognormal noise of the
     given sigma and an optional constant bias factor. ``disturbance=None``
     disables corruption bursts. Fully deterministic per seed. The scans
-    are one :class:`ScanTable` of the blocks that :func:`session_scans`
-    draws, a sequence of the same :class:`Scan`; the series is
-    :func:`disdrometer_series`.
+    are one :class:`ScanTable` of the blocks that
+    :func:`write_session_scans` writes, drawn with the profile's sensor
+    noise table; the series is :func:`disdrometer_series`.
     """
     # The series first: it checks its options before any scan is drawn.
     series = disdrometer_series(profile, seed, noise_sigma, bias, fluctuation)
-    frames = _SessionFrames(profile, params, box, seed, fluctuation, disturbance)
+    frames = _SessionFrames(profile, box, seed, fluctuation, disturbance)
     scans = ScanTable.concat(frames.block(a, a + SESSION_BLOCK_FRAMES) for a in frames.starts)
     return scans, series
-
-
-def session_scans(
-    profile: RainProfile,
-    params: NoiseRegimeParams | None = None,
-    box: CropBox = CropBox(10.0),
-    seed: int = 0,
-    fluctuation: float = 0.12,
-    disturbance: DisturbanceParams | None = DisturbanceParams(),
-):
-    """The scans of :func:`generate_session`, as an iterator that draws them on demand.
-
-    The frame times, rates and bursts are set up here, so a bad profile
-    raises before the first scan is asked for. The scans are drawn a
-    :class:`ScanTable` block of SESSION_BLOCK_FRAMES frames at a time, when
-    the iterator reaches the block, and yielded as its :class:`Scan` views.
-    """
-    frames = _SessionFrames(profile, params, box, seed, fluctuation, disturbance)
-    return (scan for a in frames.starts for scan in frames.block(a, a + SESSION_BLOCK_FRAMES))
 
 
 class _SessionFrames:
@@ -400,31 +389,23 @@ class _SessionFrames:
     stream, keyed by the session seed and j alone, so a block's scans do
     not depend on where the blocks are cut."""
 
-    def __init__(self, profile, params, box, seed, fluctuation, disturbance):
-        self.params = params or default_regime_params()
-        top = max(seg.rate for seg in profile.segments)
-        if top > self.params.r_max:
-            raise InvalidInputError(
-                f"segment rate {top} mm/h is above the noise regime table's r_max of "
-                f"{self.params.r_max} mm/h"
-            )
+    def __init__(self, profile, box, seed, fluctuation, disturbance):
+        self.noise = profile.sensor.noise
         self.box = box
         self.seed = int(seed)
         total = profile.total_duration
         frame_rate = profile.sensor.frame_rate
         n_frames = int(round(total * frame_rate))
         frame_times = np.arange(n_frames) / frame_rate
-        base = np.array([profile_rate(profile, t) for t in frame_times])
-        rates = np.clip(base * (1.0 + _fluctuation(frame_times, fluctuation, seed)), 0.0, None)
         self.times = frame_times.tolist()
-        self.rates = rates.tolist()
+        self.rates = _true_rates(profile, frame_times, fluctuation, seed).tolist()
         self.bursts = _draw_bursts(disturbance, total, seed) if disturbance else []
         self.starts = range(0, n_frames, SESSION_BLOCK_FRAMES)  # the first frame of each block
 
     def _draw_args(self, j) -> tuple:
         """The :func:`_draw_points` arguments of frame j: its rate, the
-        session's params and box, its seed, and the scales of the first
-        burst that covers it, if any."""
+        sensor's noise table, the session's box, its seed, and the scales
+        of the first burst that covers it, if any."""
         t = self.times[j]
         for burst in self.bursts:
             if burst.start <= t < burst.start + burst.duration:
@@ -432,7 +413,7 @@ class _SessionFrames:
                 break
         else:
             overlay = (1.0, 1.0, 0.0)
-        return (self.rates[j], self.params, self.box, [_SCAN_STREAM, self.seed, j], *overlay)
+        return (self.rates[j], self.noise, self.box, [_SCAN_STREAM, self.seed, j], *overlay)
 
     def block(self, start: int, stop: int) -> ScanTable:
         """The scans of frames ``start:stop`` (cut at the last frame) as one
@@ -458,20 +439,20 @@ def write_session_scans(
     fluctuation: float = 0.12,
     disturbance: DisturbanceParams | None = DisturbanceParams(),
 ) -> int:
-    """Write the scans of :func:`session_scans`, with the default regime
-    params, to a scan file, atomically; return the number of scans written.
+    """Write the scans of :func:`generate_session` to a scan file,
+    atomically; return the number of scans written.
 
-    The file holds the bytes of ``io.write_scans(path, session_scans(...))``.
+    The file holds the bytes of ``io.write_scans(path, generate_session(...)[0])``.
     The session is set up first, so bad arguments raise before any output.
     The frames are drawn in the :class:`ScanTable` blocks of
-    SESSION_BLOCK_FRAMES that :func:`session_scans` draws, and each block
+    SESSION_BLOCK_FRAMES that :func:`generate_session` joins, and each block
     is formatted by the one formatter of :func:`rainlidar.io.write_scans`,
     on two processes where :func:`rainlidar.io._made_blocks` says; this
     process writes the blocks in order. Each scan draws from a stream keyed
     by its frame index, so the bytes do not depend on the worker or on
     where the blocks are cut.
     """
-    frames = _SessionFrames(profile, None, box, seed, fluctuation, disturbance)
+    frames = _SessionFrames(profile, box, seed, fluctuation, disturbance)
     starts = frames.starts
 
     def text(start):
@@ -494,12 +475,10 @@ def disdrometer_series(
     """The disdrometer series of :func:`generate_session`."""
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
         raise InvalidInputError(f"noise sigma must be finite and non-negative, got {noise_sigma}")
-    total = profile.total_duration
     disdro_rate = profile.sensor.disdrometer_rate
-    n_meas = int(round(total * disdro_rate))
+    n_meas = int(round(profile.total_duration * disdro_rate))
     meas_times = np.arange(n_meas) / disdro_rate
-    base_meas = np.array([profile_rate(profile, t) for t in meas_times])
-    true_meas = np.clip(base_meas * (1.0 + _fluctuation(meas_times, fluctuation, seed)), 0.0, None)
+    true_meas = _true_rates(profile, meas_times, fluctuation, seed)
     noise_rng = np.random.default_rng([_DISDRO_STREAM, int(seed)])
     observed = true_meas * bias * np.exp(noise_sigma * noise_rng.standard_normal(n_meas))
     segments = np.array([segment_index(profile, t) for t in meas_times])

@@ -20,7 +20,7 @@ import rainlidar as rl
 from rainlidar import io as rio
 from rainlidar.cli import EXIT_OK, main
 from rainlidar.moe import _band_error_probability, _responsibilities
-from tests.test_moe import make_prediction
+from test_moe import make_prediction
 
 ACCEPTANCE_SEED = 8
 BOX = rl.CropBox(10.0)

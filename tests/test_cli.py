@@ -23,20 +23,22 @@ from rainlidar.moe import infer_batch
 from rainlidar.pipeline import EDGE_TOLERANCE, Dataset, StreamingPredictor
 from rainlidar.synth import (
     DisturbanceParams,
+    NoiseRegimeParams,
     RainProfile,
+    RegimeParams,
     SegmentSpec,
     SensorSpec,
     _draw_bursts,
     generate_session,
 )
-from tests.conftest import (
+from conftest import (
     assert_no_child_process,
     exit_holding_the_token,
+    slide_windows_oracle,
     time_limit,
     use_cpus,
     wait_until,
 )
-from tests.test_pipeline import slide_windows_oracle
 
 SMALL_SEGMENTS = "300:7:10,300:15:10,300:30:10,300:50:10"
 # A read block larger than any scan file of these tests: one block, the whole table.
@@ -186,6 +188,22 @@ class TestSessionWriter:
             assert synth.write_session_scans(path, profile, seed=3) == 400
             files.append(path.read_bytes())
         assert len(files[0]) > 0 and files.count(files[0]) == len(files)
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_the_sensors_noise_table_reaches_the_file(self, tmp_path, monkeypatch, cpus):
+        use_cpus(monkeypatch, cpus)
+        table = NoiseRegimeParams(
+            (RegimeParams((0.0, 400.0), (20.0, 0.1, 0.0), 1.0, 0.0, (0.0, 0.1), (0.1, 0.3), 0.3),)
+        )
+        # 300 frames, three blocks, at a rate where the default table draws no points
+        profile = RainProfile((SegmentSpec(30.0, 300.0, 5.0),), SensorSpec(noise=table))
+        scans, _ = generate_session(profile, seed=3)
+        assert scans[-1].n_points > 0
+        ref, path = tmp_path / "ref.txt", tmp_path / "scans.txt"
+        rio.write_scans(ref, scans)
+        assert synth.write_session_scans(path, profile, seed=3) == 300
+        assert path.read_bytes() == ref.read_bytes()
         assert_no_child_process()
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -1497,6 +1515,9 @@ class TestExitCodes:
             ["--disdro-rate", "nan"],
             ["--segments", "60:300:5"],
             ["--segments", "60:1e300:5"],
+            # counts whose float64 arrays numpy refuses as too big
+            ["--segments", "1e300:7"],
+            ["--disdro-rate", "1e300"],
             ["--noise-sigma", "-1"],
             ["--fluctuation", "5"],
             ["--fluctuation", "-0.5"],

@@ -35,7 +35,7 @@ from rainlidar.vblearn import (
     expert_predictions,
     gate_probabilities,
 )
-from tests.test_moe import N_FEATURES, make_samples, manual_model
+from test_moe import N_FEATURES, make_samples, manual_model
 
 # ---------------------------------------------------------------------------
 # Oracle: the per-sample inference code as it was before the batched path,

@@ -19,8 +19,8 @@ from rainlidar.errors import FileFormatError, InvalidInputError
 from rainlidar.features import Scan, ScanTable, WindowSample
 from rainlidar.moe import build_tree_spec, infer, infer_batch, train
 from rainlidar.pipeline import Dataset, RainSeries
-from tests.conftest import assert_no_child_process, exit_holding_the_token, time_limit, use_cpus
-from tests.test_moe import make_samples
+from conftest import assert_no_child_process, exit_holding_the_token, time_limit, use_cpus
+from test_moe import make_samples
 
 
 def random_scans(seed=0, n_scans=5):

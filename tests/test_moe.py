@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import logit, ndtr
 
+from rainlidar import moe
 from rainlidar.errors import InvalidInputError, TrainingError
 from rainlidar.features import FeatureStats, WindowSample
 from rainlidar.moe import (
@@ -183,16 +184,37 @@ class TestTrain:
         assert pred.variances[0] == variances[0, 0]
         assert pred.point_estimate == means[0, 0]
 
-    def test_routing_of_mid_range_sample(self):
+    @staticmethod
+    def recorded_node_samples(monkeypatch, targets):
+        """The sorted sample indices that each node of the next train() fits,
+        by node name, filled in as it runs: a gate's as given to
+        _balance_classes, before balancing, and an expert's from the targets
+        given to fit_vb_linear, which must be distinct."""
+        nodes = {}
+        balance, fit_linear = moe._balance_classes, moe.fit_vb_linear
+
+        def spied_balance(indices, labels, rng):
+            nodes[f"z{sum(k[0] == 'z' for k in nodes) + 1}"] = sorted(int(i) for i in indices)
+            return balance(indices, labels, rng)
+
+        def spied_fit_linear(Phi, y, **kwargs):
+            nodes[f"e{sum(k[0] == 'e' for k in nodes) + 1}"] = sorted(targets.index(v) for v in y)
+            return fit_linear(Phi, y, **kwargs)
+
+        monkeypatch.setattr(moe, "_balance_classes", spied_balance)
+        monkeypatch.setattr(moe, "fit_vb_linear", spied_fit_linear)
+        return nodes
+
+    def test_routing_of_mid_range_sample(self, monkeypatch):
         # Sample with y=15 trains z1 (label 0), z2 (label 1), expert e2,
         # and no other node.
         targets = [2.0, 5.0, 15.0, 12.0, 18.0, 25.0, 30.0, 55.0, 60.0]
         samples = make_samples(targets)
         spec = build_tree_spec(2, (0.0, 80.0), [20.0, 10.0, 40.0])
-        config = TrainConfig(record_assignments=True)
-        model = train(samples, spec, config=config, seed=0)
+        asg = self.recorded_node_samples(monkeypatch, targets)
+        train(samples, spec, seed=0)
         idx = 2  # the y=15 sample
-        asg = model.metadata["assignments"]
+        assert sorted(asg) == ["e1", "e2", "e3", "e4", "z1", "z2", "z3"]
         assert idx in asg["z1"]
         assert idx in asg["z2"]
         assert idx not in asg["z3"]
@@ -201,14 +223,15 @@ class TestTrain:
         # label rule: y > threshold
         assert 15.0 < spec.thresholds[0] and 15.0 > spec.thresholds[1]
 
-    def test_gate_subtree_pruning(self):
+    def test_gate_subtree_pruning(self, monkeypatch):
         # z2's training set is exactly the samples below the root threshold.
         targets = [2.0, 5.0, 15.0, 12.0, 18.0, 25.0, 30.0, 55.0, 60.0]
         samples = make_samples(targets)
         spec = build_tree_spec(2, (0.0, 80.0), [20.0, 10.0, 40.0])
-        model = train(samples, spec, config=TrainConfig(record_assignments=True), seed=0)
+        asg = self.recorded_node_samples(monkeypatch, targets)
+        train(samples, spec, seed=0)
         expected = sorted(i for i, y in enumerate(targets) if y < 20.0)
-        assert model.metadata["assignments"]["z2"] == expected
+        assert asg["z2"] == expected
 
     def test_empty_expert_range_raises(self):
         samples = make_samples([2.0, 5.0, 15.0, 18.0, 55.0, 60.0])  # nothing in [20, 40)

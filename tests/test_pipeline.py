@@ -31,6 +31,7 @@ from rainlidar.pipeline import (
     target_for_window,
     trim_segments,
 )
+from conftest import slide_windows_oracle
 
 
 def series_of(rates, dt=10.0, segment_ids=None):
@@ -344,50 +345,6 @@ class TestSharedTable:
             direct_warnings += caught
             assert np.array_equal(vector, expected)
         assert table_warnings == direct_warnings
-
-
-def slide_windows_oracle(scans, box, duration, period, limit, series=None, end_anchored=False):
-    """The whole-table windowing path that WindowStream replaced, verbatim
-    but for its name and its vectors, which it returns as a list."""
-    scans = ScanTable.from_scans(scans)
-    times = scans.timestamps
-    if np.any(np.diff(times) < 0):
-        raise InvalidInputError("scans must be time-ordered")
-    t0 = float(times[0])
-    last = limit + 1e-9
-    # One index past the last window that can fit; the mask below trims it.
-    k = np.arange(max(int((last - t0 - duration) // period) + 2, 0))
-    if end_anchored:
-        ends = (t0 + duration) + k * period
-        starts = ends - duration
-    else:
-        starts = t0 + k * period
-        ends = starts + duration
-    inside = ends <= last
-    starts, ends = starts[inside], ends[inside]
-    lo = np.searchsorted(times, starts - EDGE_TOLERANCE)
-    hi = np.searchsorted(times, ends - EDGE_TOLERANCE)
-    counts = pipeline.WindowingResult(samples=[], n_windows=len(starts))
-    kept = []
-    for start, end, i0, i1 in zip(starts.tolist(), ends.tolist(), lo.tolist(), hi.tolist()):
-        if i1 - i0 < 2:
-            counts.n_skipped_few_scans += 1
-            continue
-        target = None if series is None else target_for_window(series, (start, end))
-        if series is not None and target is None:
-            counts.n_skipped_no_target += 1
-            continue
-        kept.append((start, end, target, i0, i1))
-
-    def vectors():
-        used = np.zeros(len(scans), dtype=bool)
-        for _, _, _, i0, i1 in kept:
-            used[i0:i1] = True
-        rows = scan_feature_rows(scans, box, np.flatnonzero(used))
-        for start, end, target, i0, i1 in kept:
-            yield start, end, target, reduce_window(rows[i0:i1])
-
-    return counts, list(vectors())
 
 
 def pushed_in_blocks(stream, scans, cuts):

@@ -5,7 +5,7 @@ import pytest
 
 from rainlidar import synth
 from rainlidar.errors import InvalidInputError
-from rainlidar.features import CropBox, ScanTable, normalized_mst, scan_features
+from rainlidar.features import CropBox, Scan, ScanTable, normalized_mst, scan_features
 from rainlidar.moe import build_tree_spec, evaluate, train
 from rainlidar.pipeline import assemble_dataset, make_windows, preprocess, split_validation
 from rainlidar.synth import (
@@ -18,14 +18,29 @@ from rainlidar.synth import (
     default_profile,
     default_regime_params,
     disdrometer_series,
-    generate_scan,
     generate_session,
     profile_rate,
     segment_index,
-    session_scans,
 )
 
 BOX = CropBox(10.0)
+
+
+def drawn_scan(
+    rate,
+    noise,
+    box,
+    seed,
+    timestamp=0.0,
+    frame_id=0,
+    count_scale=1.0,
+    intensity_scale=1.0,
+    extra_cluster=0.0,
+):
+    """The :class:`Scan` of the points that :func:`synth._draw_points` draws
+    for one frame, with its overlay scales defaulting to no burst."""
+    points = synth._draw_points(rate, noise, box, seed, count_scale, intensity_scale, extra_cluster)
+    return Scan(xyz=points[:, :3], intensity=points[:, 3], timestamp=timestamp, frame_id=frame_id)
 
 
 def single_regime(cluster_fraction, count=120.0, cluster_scale=0.25):
@@ -95,13 +110,25 @@ class TestRegimeParams:
         for a, b in zip(params.regimes[:-1], params.regimes[1:]):
             assert a.rate_range[1] == b.rate_range[0]
 
-    def test_count_curve_continuous_at_breakpoints(self):
+    # Every sensor's table must pass this. The default table rounds its
+    # intensity scales to 3 digits, so its intensity curve jumps by up to
+    # 4.8e-4 (relative) at an edge; pull and cluster fraction meet exactly.
+    @pytest.mark.parametrize(
+        "statistic, rel",
+        [
+            ("expected_count", 1e-9),
+            ("radial_pull_at", None),
+            ("cluster_fraction_at", None),
+            ("expected_intensity", 1e-3),
+        ],
+    )
+    def test_statistic_continuous_at_breakpoints(self, statistic, rel):
         params = default_regime_params()
         for a, b in zip(params.regimes[:-1], params.regimes[1:]):
             boundary = a.rate_range[1]
-            assert a.expected_count(boundary) == pytest.approx(
-                b.expected_count(boundary), rel=1e-9
-            )
+            left = getattr(a, statistic)(boundary)
+            right = getattr(b, statistic)(boundary)
+            assert left == (right if rel is None else pytest.approx(right, rel=rel))
 
     def test_count_curve_non_monotone(self):
         params = default_regime_params()
@@ -125,7 +152,7 @@ class TestGenerateScan:
         params = default_regime_params()
         counts, intensities = [], []
         for seed in range(200):
-            scan = generate_scan(0.0, params, BOX, seed=seed)
+            scan = drawn_scan(0.0, params, BOX, seed=seed)
             counts.append(scan.n_points)
             if scan.n_points:
                 intensities.append(scan.intensity.mean())
@@ -138,14 +165,14 @@ class TestGenerateScan:
         params = default_regime_params()
         rate = 30.0
         lam = params.regime_for(rate).expected_count(rate)
-        counts = [generate_scan(rate, params, BOX, seed=[1, i]).n_points for i in range(100)]
+        counts = [drawn_scan(rate, params, BOX, seed=[1, i]).n_points for i in range(100)]
         assert abs(np.mean(counts) - lam) <= 3.0 * np.sqrt(lam / 100)
 
     def test_clustering_lowers_mst_ratio(self):
         low, high = [], []
         for seed in range(50):
             for frac, out in ((0.0, low), (0.8, high)):
-                scan = generate_scan(20.0, single_regime(frac), BOX, seed=[seed, int(frac * 10)])
+                scan = drawn_scan(20.0, single_regime(frac), BOX, seed=[seed, int(frac * 10)])
                 if scan.n_points >= 2:
                     out.append(normalized_mst(scan.xyz, BOX))
         assert np.mean(high) < np.mean(low)
@@ -159,7 +186,7 @@ class TestGenerateScan:
         for rate in (7.0, 15.0, 30.0, 50.0):
             rows = []
             for i in range(reps):
-                feats = scan_features(generate_scan(rate, params, BOX, seed=[3, int(rate), i]), BOX)
+                feats = scan_features(drawn_scan(rate, params, BOX, seed=[3, int(rate), i]), BOX)
                 rows.append(
                     [feats.n_points, feats.mean_intensity or 0.0, feats.mean_radial or 0.0, feats.norm_mst or 0.0]
                 )
@@ -174,30 +201,30 @@ class TestGenerateScan:
 
     def test_deterministic(self):
         params = default_regime_params()
-        a = generate_scan(25.0, params, BOX, seed=42)
-        b = generate_scan(25.0, params, BOX, seed=42)
+        a = drawn_scan(25.0, params, BOX, seed=42)
+        b = drawn_scan(25.0, params, BOX, seed=42)
         np.testing.assert_array_equal(a.xyz, b.xyz)
         np.testing.assert_array_equal(a.intensity, b.intensity)
 
     def test_points_inside_box(self):
         params = default_regime_params()
         for seed in range(10):
-            scan = generate_scan(60.0, params, BOX, seed=seed)
+            scan = drawn_scan(60.0, params, BOX, seed=seed)
             assert np.all(np.abs(scan.xyz) <= BOX.half_extent)
 
     def test_negative_rate_rejected(self):
         with pytest.raises(InvalidInputError):
-            generate_scan(-1.0, default_regime_params(), BOX, seed=0)
+            drawn_scan(-1.0, default_regime_params(), BOX, seed=0)
 
 
 def per_frame_scans(profile, seed, disturbance):
-    """The scans of a session (default params, box and fluctuation) made one
-    frame at a time by :func:`generate_scan`, with the arguments that the
-    session gives each frame."""
-    frames = synth._SessionFrames(profile, None, BOX, seed, 0.12, disturbance)
+    """The scans of a session (default box and fluctuation) made one frame
+    at a time by :func:`drawn_scan`, with the arguments that the session
+    gives each frame."""
+    frames = synth._SessionFrames(profile, BOX, seed, 0.12, disturbance)
     for j in range(len(frames.times)):
-        rate, params, box, seed, *overlay = frames._draw_args(j)
-        yield generate_scan(rate, params, box, seed, frames.times[j], j, *overlay)
+        rate, noise, box, seed, *overlay = frames._draw_args(j)
+        yield drawn_scan(rate, noise, box, seed, frames.times[j], j, *overlay)
 
 
 class TestSessionOptions:
@@ -213,26 +240,40 @@ class TestSessionOptions:
         )
 
     @pytest.mark.parametrize("rate", [300.0, 1e300])
-    def test_rate_above_the_regime_table_is_rejected(self, tmp_path, rate):
-        profile = RainProfile((SegmentSpec(60.0, 7.0, 5.0), SegmentSpec(60.0, rate, 5.0)))
-        for start in (
-            lambda: generate_session(profile),
-            lambda: session_scans(profile),
-            lambda: synth.write_session_scans(tmp_path / "scans.txt", profile),
-        ):
-            with pytest.raises(InvalidInputError, match=r"r_max of 80\.0 mm/h"):
-                start()
-        assert list(tmp_path.iterdir()) == []
+    def test_rate_above_the_regime_table_is_rejected(self, rate):
+        # The profile itself is refused, so no session entry point can take it.
+        with pytest.raises(InvalidInputError, match=r"r_max of 80\.0 mm/h"):
+            RainProfile((SegmentSpec(60.0, 7.0, 5.0), SegmentSpec(60.0, rate, 5.0)))
 
     def test_a_wider_table_takes_rates_up_to_its_own_r_max(self):
-        profile = RainProfile((SegmentSpec(5.0, 400.0, 2.0),), SensorSpec(frame_rate=1.0))
-        scans, _ = generate_session(profile, self.wide_table(400.0), seed=2)
+        wide = SensorSpec(frame_rate=1.0, noise=self.wide_table(400.0))
+        profile = RainProfile((SegmentSpec(5.0, 400.0, 2.0),), wide)
+        scans, _ = generate_session(profile, seed=2)
         assert len(scans) == 5 and scans[-1].n_points > 0
         with pytest.raises(InvalidInputError, match="r_max"):
-            generate_session(profile, default_regime_params())
-        over = RainProfile((SegmentSpec(5.0, 400.5, 2.0),), SensorSpec(frame_rate=1.0))
+            RainProfile(profile.segments, SensorSpec(frame_rate=1.0))
         with pytest.raises(InvalidInputError, match=r"400\.5 mm/h .* r_max of 400\.0 mm/h"):
-            generate_session(over, self.wide_table(400.0))
+            RainProfile((SegmentSpec(5.0, 400.5, 2.0),), wide)
+
+    @pytest.mark.parametrize(
+        "segment, sensor, count",
+        [
+            (SegmentSpec(1e300, 7.0), SensorSpec(), r"1e\+301 frames"),
+            (SegmentSpec(1500.0, 7.0), SensorSpec(disdrometer_rate=1e300), r"1\.5e\+303 measurements"),
+            (SegmentSpec(1500.0, 7.0), SensorSpec(frame_rate=1e308), "inf frames"),
+            # 2**60 frames of 8 bytes: one byte past the largest intp
+            (SegmentSpec(2.0**60, 7.0), SensorSpec(frame_rate=1.0), r"1\.15292e\+18 frames"),
+        ],
+        ids=["duration", "disdrometer-rate", "infinite", "bound"],
+    )
+    def test_counts_too_large_for_an_array_are_rejected(self, segment, sensor, count):
+        with pytest.raises(InvalidInputError, match=count):
+            RainProfile((segment,), sensor)
+
+    def test_the_largest_count_below_the_array_bound_is_accepted(self):
+        # the float below 2**60; numpy would try to allocate it, not refuse it
+        profile = RainProfile((SegmentSpec(2.0**60 - 128, 7.0),), SensorSpec(frame_rate=1.0))
+        assert profile.total_duration * profile.sensor.frame_rate * 8 < np.iinfo(np.intp).max
 
     @pytest.mark.parametrize("sigma", [-1.0, -1e-9, float("nan"), float("inf")])
     def test_noise_sigma_must_be_finite_and_non_negative(self, monkeypatch, sigma):
@@ -246,15 +287,16 @@ class TestSessionOptions:
             generate_session(self.PROFILE, noise_sigma=sigma)
 
     @pytest.mark.parametrize("fluctuation", [-0.1, 1.000001, 5.0, float("nan"), float("inf")])
-    def test_fluctuation_must_lie_in_the_unit_interval(self, fluctuation):
+    def test_fluctuation_must_lie_in_the_unit_interval(self, tmp_path, fluctuation):
         with pytest.raises(InvalidInputError, match=r"fluctuation must be in \[0, 1\]"):
             disdrometer_series(self.PROFILE, fluctuation=fluctuation)
         for start in (
             lambda: generate_session(self.PROFILE, fluctuation=fluctuation),
-            lambda: session_scans(self.PROFILE, fluctuation=fluctuation),
+            lambda: synth.write_session_scans(tmp_path / "scans.txt", self.PROFILE, fluctuation=fluctuation),
         ):
             with pytest.raises(InvalidInputError, match="fluctuation"):
                 start()
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("fluctuation", [0.0, 1.0])
     def test_the_ends_of_the_interval_are_accepted(self, fluctuation):
@@ -313,23 +355,6 @@ class TestGenerateSession:
         _, biased = generate_session(profile, seed=3, disturbance=None, bias=1.3)
         np.testing.assert_allclose(biased.rates, 1.3 * plain.rates, rtol=1e-12)
 
-    def test_session_scans_are_made_on_demand(self):
-        profile = RainProfile(segments=(SegmentSpec(30.0, 25.0, 5.0),))
-        dist = DisturbanceParams(rate_per_minute=4.0)
-        scans, series = generate_session(profile, seed=6, disturbance=dist)
-        stream = session_scans(profile, seed=6, disturbance=dist)
-        assert not isinstance(stream, list)
-        first = next(stream)
-        assert first.frame_id == 0 and first.xyz.tobytes() == scans[0].xyz.tobytes()
-        rest = list(stream)
-        assert len(rest) == len(scans) - 1 == 299
-        for a, b in zip(rest, scans[1:]):
-            assert (a.frame_id, a.timestamp) == (b.frame_id, b.timestamp)
-            assert a.xyz.tobytes() == b.xyz.tobytes()
-            assert a.intensity.tobytes() == b.intensity.tobytes()
-        again = disdrometer_series(profile, seed=6)
-        assert again.rates.tobytes() == series.rates.tobytes()
-
     @pytest.mark.parametrize("frame_rate", [10.0, 1.0])
     @pytest.mark.parametrize("bursts", [True, False], ids=["bursts", "calm"])
     def test_blocks_equal_a_scan_per_frame(self, frame_rate, bursts):
@@ -341,20 +366,20 @@ class TestGenerateSession:
             if bursts
             else None
         )
-        frames = synth._SessionFrames(profile, None, BOX, 6, 0.12, dist)
+        frames = synth._SessionFrames(profile, BOX, 6, 0.12, dist)
         assert len(frames.times) == 237 and 237 % synth.SESSION_BLOCK_FRAMES
         covered = [any(b.start <= t < b.start + b.duration for b in frames.bursts) for t in frames.times]
         assert (0 < sum(covered) < 237) == bursts
         want = list(per_frame_scans(profile, 6, dist))
         scans, _ = generate_session(profile, seed=6, disturbance=dist)
         assert isinstance(scans, ScanTable)
-        for got in (list(session_scans(profile, seed=6, disturbance=dist)), list(scans)):
-            assert len(got) == len(want)
-            for a, b in zip(got, want):
-                assert type(a.frame_id) is type(b.frame_id) is int and a.frame_id == b.frame_id
-                assert a.timestamp.hex() == b.timestamp.hex()
-                assert a.xyz.tobytes() == b.xyz.tobytes()
-                assert a.intensity.tobytes() == b.intensity.tobytes()
+        got = list(scans)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert type(a.frame_id) is type(b.frame_id) is int and a.frame_id == b.frame_id
+            assert a.timestamp.hex() == b.timestamp.hex()
+            assert a.xyz.tobytes() == b.xyz.tobytes()
+            assert a.intensity.tobytes() == b.intensity.tobytes()
 
     def test_disturbance_determinism(self):
         profile = RainProfile(segments=(SegmentSpec(120.0, 30.0),))
@@ -390,7 +415,7 @@ class TestScanFeatureRecomputation:
 
         from rainlidar.features import uniform_mst_reference
 
-        scan = generate_scan(30.0, default_regime_params(), BOX, seed=3)
+        scan = drawn_scan(30.0, default_regime_params(), BOX, seed=3)
         feats = scan_features(scan, BOX)
         keep = np.all(np.abs(scan.xyz) <= BOX.half_extent, axis=1)
         kept = scan.xyz[keep]

@@ -24,7 +24,7 @@ from rainlidar.vblearn import (
     kappa,
     lambda_jj,
 )
-from tests.test_infer_batch import _oracle_apply_basis
+from test_infer_batch import _oracle_apply_basis
 
 
 def bound_is_monotone(trace, slack=1e-8):

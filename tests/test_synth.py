@@ -110,13 +110,21 @@ class TestRegimeParams:
         for a, b in zip(params.regimes[:-1], params.regimes[1:]):
             assert a.rate_range[1] == b.rate_range[0]
 
-    # Every sensor's table must pass this. The default table rounds its
-    # intensity scales to 3 digits, so its intensity curve jumps by up to
-    # 4.8e-4 (relative) at an edge; pull and cluster fraction meet exactly.
+    def test_count_curve_continuous_at_breakpoints(self):
+        params = default_regime_params()
+        for a, b in zip(params.regimes[:-1], params.regimes[1:]):
+            boundary = a.rate_range[1]
+            assert a.expected_count(boundary) == pytest.approx(
+                b.expected_count(boundary), rel=1e-9
+            )
+
+    # Every sensor's table must pass this and the count test above. The
+    # default table rounds its intensity scales to 3 digits, so its intensity
+    # curve jumps by up to 4.8e-4 (relative) at an edge; pull and cluster
+    # fraction meet exactly.
     @pytest.mark.parametrize(
         "statistic, rel",
         [
-            ("expected_count", 1e-9),
             ("radial_pull_at", None),
             ("cluster_fraction_at", None),
             ("expected_intensity", 1e-3),

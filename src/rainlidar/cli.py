@@ -24,7 +24,7 @@ from .errors import FileFormatError, InvalidInputError, NumericalError, Training
 from .features import CropBox, Scan, scan_features
 from .moe import (
     TrainConfig,
-    build_tree_spec,
+    TreeSpec,
     infer,
     predict_batch,
     quantile_thresholds,
@@ -159,19 +159,12 @@ def cmd_train(args) -> int:
     samples = dataset.samples if args.train_on_all else dataset.subset(SPLIT_TRAIN)
     if not samples:
         raise InvalidInputError("no training samples in dataset")
-    thresholds = _parse_float_list(args.thresholds) if args.thresholds else None
-    if thresholds is not None:
-        depth = (len(thresholds) + 1).bit_length() - 1
-        if 2**depth - 1 != len(thresholds):
-            raise InvalidInputError(
-                f"threshold count {len(thresholds)} is not 2**depth - 1"
-            )
+    y_range = (0.0, args.y_max)
+    if args.thresholds:
+        thresholds = _parse_float_list(args.thresholds)
     else:
-        depth = args.depth
-        thresholds = quantile_thresholds(
-            [s.target for s in samples], depth, y_range=(0.0, args.y_max)
-        )
-    spec = build_tree_spec(depth, y_range=(0.0, args.y_max), thresholds=thresholds)
+        thresholds = quantile_thresholds([s.target for s in samples], args.depth, y_range)
+    spec = TreeSpec(thresholds, y_range)
     basis = (
         BasisConfig(kind="polynomial", degree=args.basis_degree)
         if args.basis_degree > 1

@@ -55,7 +55,7 @@ _CHUNK_ELEMENTS = 1 << 18
 # (denser lockstep chunks) but holds twice that.
 _FILL_BATCH_POINTS = 1 << 15
 
-_reference_cache: dict[tuple[int, int, int], float] = {}
+_reference_cache: dict[tuple[int, int], float] = {}
 
 
 @dataclass(frozen=True)
@@ -371,16 +371,11 @@ def _prim_chunk(point_sets) -> list:
     return [edges[b, :k].sum() for b, k in enumerate((n - 1).tolist())]
 
 
-def uniform_mst_reference(
-    n: int,
-    box: CropBox,
-    seed: int = 0,
-    reps: int = DEFAULT_REFERENCE_REPS,
-) -> float:
+def uniform_mst_reference(n: int, box: CropBox, reps: int = DEFAULT_REFERENCE_REPS) -> float:
     """Mean MST length of ``n`` uniform points in the box (Monte-Carlo).
 
     MST length scales linearly with the box side, so the unit-cube value is
-    computed once per (n, reps, seed) from a fixed seed stream, cached, and
+    computed once per (n, reps) from a fixed seed stream, cached, and
     rescaled. Repeated calls are deterministic regardless of call order.
     """
     n = int(n)
@@ -388,24 +383,20 @@ def uniform_mst_reference(
         raise InvalidInputError("reference needs at least 2 points")
     if reps < 1:
         raise InvalidInputError("reps must be positive")
-    key = (n, int(reps), int(seed))
+    key = (n, int(reps))
     unit = _reference_cache.get(key)
     if unit is None:
-        rng = np.random.default_rng([_REFERENCE_STREAM, int(seed), n, int(reps)])
+        # The 0 is part of the stream key: the pinned reference values depend on it.
+        rng = np.random.default_rng([_REFERENCE_STREAM, 0, n, int(reps)])
         unit = float(np.mean(_mst_lengths(rng.random((int(reps), n, 3)))))
         _reference_cache[key] = unit
     return unit * 2.0 * box.half_extent
 
 
-def normalized_mst(
-    points,
-    box: CropBox,
-    seed: int = 0,
-    reps: int = DEFAULT_REFERENCE_REPS,
-) -> float:
+def normalized_mst(points, box: CropBox, reps: int = DEFAULT_REFERENCE_REPS) -> float:
     """MST length divided by the uniform reference for the same point count."""
     pts = np.asarray(points, dtype=float)
-    return mst_length(pts) / uniform_mst_reference(pts.shape[0], box, seed=seed, reps=reps)
+    return mst_length(pts) / uniform_mst_reference(pts.shape[0], box, reps=reps)
 
 
 def scan_features(scan: Scan, box: CropBox) -> ScanFeatures:

@@ -37,9 +37,13 @@ window bounds, split tag and provenance.
 Models: a versioned JSON document holding the tree spec, per-node
 posteriors (mean vectors, covariance matrices as row-major nested lists,
 noise precision), standardization statistics and training metadata.
-Version 2 keeps only what loading reads. A version 1 file also holds each
-gate's ``xi`` and warnings and two metadata copies; the reader ignores
-those keys, so both versions load through it.
+Version 2 keeps only what loading reads. Its thresholds over the range
+that its ``expert_ranges`` span make the model's ``TreeSpec``; its
+``depth``, ``expert_ranges`` and the copies of ``MoEModel.basis`` on every
+node must agree with them, or loading, like any check of the model, fails
+with a FileFormatError naming the path (exit 3). A version 1 file also
+holds each gate's ``xi`` and warnings and two metadata copies; the reader
+ignores those keys, so both versions load through it.
 
 Floats are rendered with ``repr`` (shortest round-trip), so write/read
 cycles reproduce values bit-exactly and identical inputs produce
@@ -652,15 +656,8 @@ def read_dataset(path) -> Dataset:
     return Dataset(samples=samples, split_tags=tags, config=config, segment_spans=spans)
 
 
-def _basis_to_doc(basis: BasisConfig) -> dict:
-    return {"kind": basis.kind, "degree": basis.degree}
-
-
-def _basis_from_doc(doc: dict) -> BasisConfig:
-    return BasisConfig(kind=doc["kind"], degree=doc["degree"])
-
-
 def save_model(path, model: MoEModel) -> None:
+    basis = {"kind": model.basis.kind, "degree": model.basis.degree}
     doc = {
         "format": "rainlidar-model",
         "version": MODEL_FORMAT_VERSION,
@@ -671,7 +668,7 @@ def save_model(path, model: MoEModel) -> None:
         },
         "gates": [
             {
-                "basis": _basis_to_doc(g.basis),
+                "basis": basis,
                 "mean": g.mean.tolist(),
                 "covariance": g.covariance.tolist(),
             }
@@ -679,7 +676,7 @@ def save_model(path, model: MoEModel) -> None:
         ],
         "experts": [
             {
-                "basis": _basis_to_doc(e.basis),
+                "basis": basis,
                 "mean": e.mean.tolist(),
                 "covariance": e.covariance.tolist(),
                 "noise_precision": float(e.noise_precision),
@@ -719,17 +716,23 @@ def load_model(path) -> MoEModel:
         return array
 
     try:
-        spec = TreeSpec(
-            depth=doc["spec"]["depth"],
-            thresholds=tuple(finite(doc["spec"]["thresholds"]).tolist()),
-            expert_ranges=tuple(map(tuple, finite(doc["spec"]["expert_ranges"]).tolist())),
-        )
-        gates = tuple(
-            GatePosterior(
-                mean=finite(g["mean"]),
-                covariance=finite(g["covariance"]),
-                basis=_basis_from_doc(g["basis"]),
+        spec_doc = doc["spec"]
+        ranges = finite(spec_doc["expert_ranges"]).tolist()
+        spec = TreeSpec(finite(spec_doc["thresholds"]).tolist(), (ranges[0][0], ranges[-1][1]))
+        if spec_doc["depth"] != spec.depth or list(map(tuple, ranges)) != list(spec.expert_ranges):
+            raise FileFormatError(
+                f"{path}: the depth and expert ranges do not match the thresholds"
             )
+        bases = {
+            BasisConfig(kind=node["basis"]["kind"], degree=node["basis"]["degree"])
+            for node in doc["gates"] + doc["experts"]
+        }
+        if len(bases) != 1:
+            raise FileFormatError(
+                f"{path}: the gates and experts must share one basis, found {len(bases)}"
+            )
+        gates = tuple(
+            GatePosterior(mean=finite(g["mean"]), covariance=finite(g["covariance"]))
             for g in doc["gates"]
         )
         experts = tuple(
@@ -737,7 +740,6 @@ def load_model(path) -> MoEModel:
                 mean=finite(e["mean"]),
                 covariance=finite(e["covariance"]),
                 noise_precision=float(finite(e["noise_precision"])),
-                basis=_basis_from_doc(e["basis"]),
             )
             for e in doc["experts"]
         )
@@ -751,6 +753,8 @@ def load_model(path) -> MoEModel:
             metadata = {
                 k: v for k, v in metadata.items() if k not in ("format_version", "n_train_samples")
             }
-    except (KeyError, TypeError, AttributeError) as exc:
+        return MoEModel(spec, gates, experts, stats, basis=bases.pop(), metadata=metadata)
+    except (KeyError, TypeError, AttributeError, IndexError) as exc:
         raise FileFormatError(f"{path}: incomplete model document: {exc}") from exc
-    return MoEModel(spec=spec, gates=gates, experts=experts, standardization=stats, metadata=metadata)
+    except InvalidInputError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc

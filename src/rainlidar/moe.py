@@ -46,42 +46,37 @@ MAX_DEPTH = 6
 
 @dataclass(frozen=True)
 class TreeSpec:
-    """Tree shape: depth, heap-ordered gate thresholds, expert ranges.
+    """Tree shape: heap-ordered gate thresholds over a target range [lo, hi) mm/h.
 
     ``thresholds[k-1]`` is the threshold of gate node k (1-based heap
-    index, root = 1). ``expert_ranges`` are half-open [lo, hi) intervals in
-    mm/h, left to right, partitioning the modeled target range.
+    index, root = 1); there are 2**depth - 1 of them. The depth and the
+    ``expert_ranges`` follow from them: the in-order thresholds are the
+    interior boundaries of the half-open ranges, left to right, which
+    partition ``y_range``.
     """
 
-    depth: int
     thresholds: tuple
-    expert_ranges: tuple
+    y_range: tuple
+    depth: int = field(init=False)
+    expert_ranges: tuple = field(init=False)
 
     def __post_init__(self):
-        if not 0 <= self.depth <= MAX_DEPTH:
-            raise InvalidInputError(f"depth must be in [0, {MAX_DEPTH}]")
-        n_gates = 2**self.depth - 1
-        if len(self.thresholds) != n_gates:
-            raise InvalidInputError(
-                f"depth {self.depth} requires {n_gates} thresholds, got {len(self.thresholds)}; "
-                "quantile_thresholds derives them from training targets"
-            )
-        if len(self.expert_ranges) != 2**self.depth:
-            raise InvalidInputError("expert range count must be 2**depth")
-        boundaries = [self.expert_ranges[0][0]]
-        for lo, hi in self.expert_ranges:
-            if lo != boundaries[-1]:
-                raise InvalidInputError("expert ranges must be contiguous")
-            if not lo < hi:
-                raise InvalidInputError(f"thresholds must increase in-order, got {lo} >= {hi}")
-            boundaries.append(hi)
-        if boundaries[0] < 0:
-            raise InvalidInputError("expert ranges must start at or above 0")
-        interior = _inorder(self.thresholds)
-        if interior != list(boundaries[1:-1]):
-            raise InvalidInputError(
-                "gate thresholds (in-order) must equal expert range boundaries"
-            )
+        thresholds = tuple(float(h) for h in self.thresholds)
+        depth = (len(thresholds) + 1).bit_length() - 1
+        if 2**depth - 1 != len(thresholds):
+            raise InvalidInputError(f"threshold count {len(thresholds)} is not 2**depth - 1")
+        lo, hi = float(self.y_range[0]), float(self.y_range[1])
+        if not (np.isfinite(lo) and np.isfinite(hi) and 0 <= lo < hi):
+            raise InvalidInputError("y range must satisfy 0 <= lo < hi")
+        _check_depth(depth)
+        boundaries = [lo, *_inorder(thresholds), hi]
+        for a, b in zip(boundaries[:-1], boundaries[1:]):
+            if not a < b:
+                raise InvalidInputError(f"thresholds must increase in-order, got {a} >= {b}")
+        object.__setattr__(self, "thresholds", thresholds)
+        object.__setattr__(self, "y_range", (lo, hi))
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "expert_ranges", tuple(zip(boundaries[:-1], boundaries[1:])))
 
     @property
     def n_gates(self) -> int:
@@ -91,9 +86,10 @@ class TreeSpec:
     def n_experts(self) -> int:
         return len(self.expert_ranges)
 
-    @property
-    def y_range(self) -> tuple:
-        return (self.expert_ranges[0][0], self.expert_ranges[-1][1])
+
+def _check_depth(depth: int) -> None:
+    if not 0 <= depth <= MAX_DEPTH:
+        raise InvalidInputError(f"depth must be in [0, {MAX_DEPTH}]")
 
 
 def _inorder(heap) -> list:
@@ -121,20 +117,20 @@ def _subtree_leaves(depth: int, node: int) -> tuple:
 
 
 def build_tree_spec(depth: int, y_range=(0.0, 80.0), thresholds=None) -> TreeSpec:
-    """Build a tree specification for the given depth over [lo, hi) mm/h.
+    """The :class:`TreeSpec` of ``thresholds`` over [lo, hi) mm/h, checked to have ``depth``.
 
     ``thresholds`` are heap-ordered (root first) and must be strictly
     increasing in in-order traversal; :func:`quantile_thresholds` derives
-    them from training targets. Only depth 0 may omit them. :class:`TreeSpec`
-    checks the depth and the thresholds.
+    them from training targets. Only depth 0 may omit them.
     """
-    lo, hi = float(y_range[0]), float(y_range[1])
-    if not (np.isfinite(lo) and np.isfinite(hi) and 0 <= lo < hi):
-        raise InvalidInputError("y range must satisfy 0 <= lo < hi")
-    thresholds = tuple(float(h) for h in thresholds or ())
-    boundaries = [lo, *_inorder(thresholds), hi]
-    ranges = tuple(zip(boundaries[:-1], boundaries[1:]))
-    return TreeSpec(depth=depth, thresholds=thresholds, expert_ranges=ranges)
+    _check_depth(depth)
+    spec = TreeSpec(tuple(thresholds or ()), y_range)
+    if spec.depth != depth:
+        raise InvalidInputError(
+            f"depth {depth} requires {2**depth - 1} thresholds, got {spec.n_gates}; "
+            "quantile_thresholds derives them from training targets"
+        )
+    return spec
 
 
 def quantile_thresholds(targets, depth: int, y_range=(0.0, 80.0)) -> list:
@@ -146,11 +142,8 @@ def quantile_thresholds(targets, depth: int, y_range=(0.0, 80.0)) -> list:
     n // 2**depth >= 2 targets. Raises TrainingError when the targets cannot
     give every expert range 2 of them (too few, or too many ties).
     """
-    lo, hi = float(y_range[0]), float(y_range[1])
-    if not (np.isfinite(lo) and np.isfinite(hi) and 0 <= lo < hi):
-        raise InvalidInputError("y range must satisfy 0 <= lo < hi")
-    if not 0 <= depth <= MAX_DEPTH:
-        raise InvalidInputError(f"depth must be in [0, {MAX_DEPTH}]")
+    lo, hi = TreeSpec((), y_range).y_range  # as the spec checks it
+    _check_depth(depth)
     y = np.asarray(targets, dtype=float).reshape(-1)
     n_above = int(np.count_nonzero(y >= hi))
     y = np.sort(y[(y >= lo) & (y < hi)])
@@ -178,12 +171,14 @@ def quantile_thresholds(targets, depth: int, y_range=(0.0, 80.0)) -> list:
 
 @dataclass(frozen=True)
 class MoEModel:
-    """Trained mixture of experts: gates, experts, and input standardization."""
+    """Trained mixture of experts: gates, experts, input standardization, and
+    the feature basis of every node."""
 
     spec: TreeSpec
     gates: tuple
     experts: tuple
     standardization: FeatureStats
+    basis: BasisConfig = BasisConfig()
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -191,6 +186,15 @@ class MoEModel:
             raise InvalidInputError("gate count must be 2**depth - 1")
         if len(self.experts) != self.spec.n_experts:
             raise InvalidInputError("expert count must be 2**depth")
+        dim = self.basis.output_dim(self.n_features)
+        names = [f"gate z{k}" for k in range(1, len(self.gates) + 1)]
+        names += [f"expert e{m}" for m in range(1, len(self.experts) + 1)]
+        for name, node in zip(names, (*self.gates, *self.experts)):
+            if node.mean.size != dim:
+                raise InvalidInputError(
+                    f"{name} has dimension {node.mean.size}, but the {self.basis.kind} basis "
+                    f"of {self.n_features} features has dimension {dim}"
+                )
 
     @property
     def n_features(self) -> int:
@@ -301,7 +305,6 @@ def train(samples, spec: TreeSpec, config: TrainConfig | None = None, seed: int 
             prior_precision=config.gate_prior_precision,
             max_iters=config.max_iters,
             tol=config.tol,
-            basis=config.basis,
         )
         for w in posterior.warnings:
             flags.append(f"gate z{k} (threshold {threshold}): {w}")
@@ -322,7 +325,6 @@ def train(samples, spec: TreeSpec, config: TrainConfig | None = None, seed: int 
             beta_init=config.expert_beta_init,
             max_iters=config.max_iters,
             tol=config.tol,
-            basis=config.basis,
         )
         for w in posterior.warnings:
             flags.append(f"expert e{m} (range [{rlo}, {rhi})): {w}")
@@ -347,6 +349,7 @@ def train(samples, spec: TreeSpec, config: TrainConfig | None = None, seed: int 
         gates=tuple(gates),
         experts=tuple(experts),
         standardization=stats,
+        basis=config.basis,
         metadata=metadata,
     )
 
@@ -487,7 +490,7 @@ def infer_batch(
     if not len(X):
         n_experts = len(model.experts)
         return MixturePrediction(*(np.empty((0, n_experts)) for _ in range(3)), np.empty(0), np.empty(0))
-    Phi = design_matrix(standardize_apply(model.standardization, X), model.experts[0].basis)
+    Phi = design_matrix(standardize_apply(model.standardization, X), model.basis)
     resp = _responsibilities(gate_probabilities(model.gates, Phi), model.spec.depth)
     means, variances = expert_predictions(model.experts, Phi)
     points = np.einsum("nm,nm->n", resp, means)

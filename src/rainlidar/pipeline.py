@@ -12,7 +12,8 @@ every segment is held out as validation data.
 :class:`WindowStream` that takes scans a block at a time: each scan of a
 used window is featurized once into per-scan rows, every window's vector is
 reduced from its scans' rows, and the scans no open window can hold are
-let go, so memory does not grow with the recording.
+let go. Only the end-anchored ``predict`` stream's memory does not grow
+with the recording: ``featurize``'s keeps every timestamp (8 bytes a scan).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import InvalidInputError
 from .features import (
     CropBox,
+    Scan,
     ScanTable,
     WindowSample,
     reduce_window,
@@ -396,9 +398,9 @@ def make_windows(
     """Slice a time-ordered scan stream into feature/target window samples.
 
     ``scans`` is a :class:`ScanTable`, a sequence of :class:`Scan`, or an
-    iterable of ScanTable blocks that follow one another in time, such as
-    :func:`rainlidar.io.read_scan_blocks` yields. Windows are
-    [start, start + duration) with start = t0 + k * stride (default:
+    iterable of ScanTable blocks that follow one another in time: a list of
+    them, or an iterator such as :func:`rainlidar.io.read_scan_blocks`.
+    Windows are [start, start + duration) with start = t0 + k * stride (default:
     stride = duration, i.e. non-overlapping). Windows without a
     ground-truth target or with fewer than two scans are skipped and
     counted. The blocks are pushed through one :class:`WindowStream`, so
@@ -411,7 +413,10 @@ def make_windows(
         raise InvalidInputError(
             "stride < duration produces overlapping windows; pass allow_overlap=True"
         )
-    blocks = [scans] if isinstance(scans, Sequence) else scans
+    one_block = isinstance(scans, ScanTable) or (
+        isinstance(scans, Sequence) and (not scans or isinstance(scans[0], Scan))
+    )
+    blocks = [scans] if one_block else scans
     windows = [w for block in blocks for w in stream.push(block)] + stream.close()
     result = stream.counts
     result.samples = [

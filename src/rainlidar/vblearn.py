@@ -166,16 +166,15 @@ def _check_spd(cov: np.ndarray, what: str, tol: float = SPD_EIGENVALUE_TOL) -> N
 class GatePosterior:
     """Gaussian weight posterior of a binary threshold classifier.
 
-    ``mean``, ``covariance`` and ``basis`` are all that prediction uses and
-    all that a model file keeps of a gate. ``warnings`` flag a degenerate fit
-    or one stopped at the iteration cap, and ``bound_trace`` is the
-    variational lower bound per iteration; both are diagnostics of the fit
-    and are not saved.
+    ``mean`` and ``covariance`` are all that prediction uses and all that a
+    model file keeps of a gate; the basis is the model's. ``warnings`` flag
+    a degenerate fit or one stopped at the iteration cap, and
+    ``bound_trace`` is the variational lower bound per iteration; both are
+    diagnostics of the fit and are not saved.
     """
 
     mean: np.ndarray
     covariance: np.ndarray
-    basis: BasisConfig = BasisConfig()
     warnings: tuple = ()
     bound_trace: tuple = ()
 
@@ -200,7 +199,6 @@ class ExpertPosterior:
     mean: np.ndarray
     covariance: np.ndarray
     noise_precision: float
-    basis: BasisConfig = BasisConfig()
     warnings: tuple = ()
     bound_trace: tuple = ()
 
@@ -250,6 +248,22 @@ def _check_max_iters(max_iters: int) -> None:
         raise InvalidInputError(f"max_iters must be at least 1, got {max_iters}")
 
 
+def _training_rows(designs, targets, what: str) -> tuple:
+    """Design rows (N, D) and one target a row as float arrays, checked: N >= 1, all finite.
+
+    ``what`` names the targets in the error message.
+    """
+    Phi = np.asarray(designs, dtype=float)
+    t = np.asarray(targets, dtype=float)
+    if Phi.ndim != 2 or Phi.shape[0] == 0:
+        raise InvalidInputError("need at least one training row")
+    if t.shape != (Phi.shape[0],):
+        raise InvalidInputError(f"{what} must be one per design row")
+    if not (np.all(np.isfinite(Phi)) and np.all(np.isfinite(t))):
+        raise InvalidInputError("non-finite training values")
+    return Phi, t
+
+
 def _cap_warning(max_iters: int, tol: float) -> str:
     return f"not converged: stopped at the {max_iters}-iteration cap (tol {tol:g})"
 
@@ -260,7 +274,6 @@ def fit_vb_logistic(
     prior_precision: float = 1.0,
     max_iters: int = 200,
     tol: float = 1e-6,
-    basis: BasisConfig = BasisConfig(),
 ) -> GatePosterior:
     """Fit q(w) = Normal(mu_N, Sigma_N) to binary data by the local bound.
 
@@ -280,14 +293,7 @@ def fit_vb_logistic(
     iterations. Single-class inputs are fitted anyway but flagged in the
     result's ``warnings``, as is a fit that stops at ``max_iters``.
     """
-    Phi = np.asarray(designs, dtype=float)
-    t = np.asarray(labels, dtype=float)
-    if Phi.ndim != 2 or Phi.shape[0] == 0:
-        raise InvalidInputError("need at least one training row")
-    if t.shape != (Phi.shape[0],):
-        raise InvalidInputError("labels must be one per design row")
-    if not (np.all(np.isfinite(Phi)) and np.all(np.isfinite(t))):
-        raise InvalidInputError("non-finite training values")
+    Phi, t = _training_rows(designs, labels, "labels")
     if not np.all((t == 0.0) | (t == 1.0)):
         raise InvalidInputError("labels must be binary 0/1")
     if not (np.isfinite(prior_precision) and prior_precision > 0):
@@ -330,7 +336,6 @@ def fit_vb_logistic(
     return GatePosterior(
         mean=mu,
         covariance=cov,
-        basis=basis,
         warnings=flags,
         bound_trace=tuple(trace),
     )
@@ -390,7 +395,6 @@ def fit_vb_linear(
     beta_init: float = 1.0,
     max_iters: int = 200,
     tol: float = 1e-6,
-    basis: BasisConfig = BasisConfig(),
 ) -> ExpertPosterior:
     """Fit a Bayesian linear regressor by mean-field variational inference.
 
@@ -402,14 +406,7 @@ def fit_vb_linear(
     which maximizes the bound for the current q(w). A fit that stops at
     ``max_iters`` is flagged in the result's ``warnings``.
     """
-    Phi = np.asarray(designs, dtype=float)
-    y = np.asarray(targets, dtype=float)
-    if Phi.ndim != 2 or Phi.shape[0] == 0:
-        raise InvalidInputError("need at least one training row")
-    if y.shape != (Phi.shape[0],):
-        raise InvalidInputError("targets must be one per design row")
-    if not (np.all(np.isfinite(Phi)) and np.all(np.isfinite(y))):
-        raise InvalidInputError("non-finite training values")
+    Phi, y = _training_rows(designs, targets, "targets")
     if not all(np.isfinite(v) and v > 0 for v in (a0, b0, beta_init)):
         raise InvalidInputError("prior hyperparameters must be finite and positive")
     _check_max_iters(max_iters)
@@ -445,7 +442,6 @@ def fit_vb_linear(
         mean=mu,
         covariance=cov,
         noise_precision=beta,
-        basis=basis,
         warnings=flags,
         bound_trace=tuple(trace),
     )

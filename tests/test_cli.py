@@ -722,6 +722,7 @@ class TestPredict:
         assert "time-ordered" in capsys.readouterr().err
 
     def test_dimension_mismatch_names_both(self, workspace, tmp_path, capsys):
+        # a standardization of 4 features under nodes of 8 is a broken model file
         doc = json.loads(workspace["model"].read_text())
         doc["standardization"]["mean"] = doc["standardization"]["mean"][:4]
         doc["standardization"]["scale"] = doc["standardization"]["scale"][:4]
@@ -731,9 +732,9 @@ class TestPredict:
             "predict", "--model", str(bad), "--scans", str(workspace["scans"]),
             "--out", str(tmp_path / "x.csv"),
         ])
-        assert code == EXIT_USAGE
+        assert code == EXIT_IO
         err = capsys.readouterr().err
-        assert "8" in err and "4" in err
+        assert "has dimension 9" in err and "of 4 features" in err
 
 
 def gappy_scans():
@@ -1334,6 +1335,28 @@ class TestBench:
         assert doc["scan_points"] == 2 and doc["inference_reps"] == 1
 
 
+def break_model_doc(doc, what):
+    """Give a saved depth-2 model document one inconsistency of the kind ``what``."""
+    if what == "gate-basis":
+        # a polynomial of degree 1 expands as the linear basis does
+        doc["gates"][1]["basis"]["kind"] = "polynomial"
+    elif what == "expert-basis":
+        doc["experts"][-1]["basis"].update(kind="polynomial", degree=2)
+    elif what == "expert-ranges":
+        # contiguous, but the inner boundary is not the threshold 10
+        doc["spec"]["expert_ranges"][:2] = [[0.0, 12.0], [12.0, 20.0]]
+    elif what == "depth":
+        doc["spec"]["depth"] = 3
+    elif what == "standardization":
+        for key in ("mean", "scale"):
+            del doc["standardization"][key][-1]
+    else:
+        assert what == "gate-covariance"
+        cov = np.eye(len(doc["gates"][0]["mean"]))
+        cov[:2, :2] = [[1.0, 2.0], [2.0, 1.0]]  # eigenvalues 3 and -1
+        doc["gates"][0]["covariance"] = cov.tolist()
+
+
 class TestExitCodes:
     def test_missing_required_flag_is_usage(self):
         with pytest.raises(SystemExit) as exc:
@@ -1488,6 +1511,39 @@ class TestExitCodes:
         ]) == EXIT_IO
         assert capsys.readouterr().err == f"I/O error: {model}: non-number in the model parameters\n"
         assert not report.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    @pytest.mark.parametrize(
+        "what, message",
+        [
+            ("gate-basis", "share one basis"),
+            ("expert-basis", "share one basis"),
+            ("expert-ranges", "do not match the thresholds"),
+            ("depth", "do not match the thresholds"),
+            (
+                "standardization",
+                "gate z1 has dimension 9, but the linear-with-bias basis of 7 features "
+                "has dimension 8",
+            ),
+            ("gate-covariance", "gate covariance not positive definite"),
+        ],
+    )
+    def test_inconsistent_model_file_is_io_error(
+        self, workspace, tmp_path, capsys, command, what, message
+    ):
+        doc = json.loads(workspace["model"].read_text())
+        break_model_doc(doc, what)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        inputs = {
+            "evaluate": ["--dataset", str(workspace["dataset"]), "--report", str(out)],
+            "predict": ["--scans", str(workspace["scans"]), "--out", str(out)],
+        }[command]
+        assert main([command, "--model", str(model), *inputs]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith(f"I/O error: {model}: ") and message in err
+        assert not out.exists()
 
     def test_no_command_prints_help(self, capsys):
         assert main([]) == EXIT_USAGE

@@ -61,15 +61,15 @@ def _oracle_kappa(sigma2_a):
     return 1.0 / np.sqrt(1.0 + np.pi * sigma2_a / 8.0)
 
 
-def _oracle_predict_gate(posterior, x):
-    phi = _oracle_apply_basis(x, posterior.basis)
+def _oracle_predict_gate(posterior, basis, x):
+    phi = _oracle_apply_basis(x, basis)
     activation = float(posterior.mean @ phi)
     activation_var = float(phi @ posterior.covariance @ phi)
     return float(_expit(_oracle_kappa(activation_var) * activation))
 
 
-def _oracle_predict_expert(posterior, x):
-    phi = _oracle_apply_basis(x, posterior.basis)
+def _oracle_predict_expert(posterior, basis, x):
+    phi = _oracle_apply_basis(x, basis)
     mean = float(posterior.mean @ phi)
     variance = 1.0 / posterior.noise_precision + float(phi @ posterior.covariance @ phi)
     return mean, variance
@@ -98,9 +98,9 @@ def _oracle_band_error_probability(resp, means, variances, center, half_width):
 def oracle_infer(model, x, margin_fraction=0.05, error_floor=0.0):
     x = np.asarray(x, dtype=float).reshape(-1)
     xs = standardize_apply(model.standardization, x)
-    gate_probs = np.array([_oracle_predict_gate(g, xs) for g in model.gates])
+    gate_probs = np.array([_oracle_predict_gate(g, model.basis, xs) for g in model.gates])
     resp = _oracle_responsibilities(gate_probs, model.spec.depth)
-    predictions = [_oracle_predict_expert(e, xs) for e in model.experts]
+    predictions = [_oracle_predict_expert(e, model.basis, xs) for e in model.experts]
     means = np.array([p[0] for p in predictions])
     variances = np.array([p[1] for p in predictions])
     point = float(resp @ means)
@@ -216,7 +216,7 @@ class TestInputs:
         model = manual_model(depth, np.full(2**depth - 1, 0.5), np.arange(2.0**depth))
         X = np.empty((0, N_FEATURES))
         # the whole path of infer_batch, as it ran on an empty batch
-        Phi = design_matrix(standardize_apply(model.standardization, X), model.experts[0].basis)
+        Phi = design_matrix(standardize_apply(model.standardization, X), model.basis)
         resp = _responsibilities(gate_probabilities(model.gates, Phi), model.spec.depth)
         means, variances = expert_predictions(model.experts, Phi)
         points = np.einsum("nm,nm->n", resp, means)

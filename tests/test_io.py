@@ -16,9 +16,10 @@ import pytest
 from rainlidar import io as rio
 from rainlidar.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from rainlidar.errors import FileFormatError, InvalidInputError
-from rainlidar.features import Scan, ScanTable, WindowSample
-from rainlidar.moe import build_tree_spec, infer, infer_batch, train
+from rainlidar.features import FeatureStats, Scan, ScanTable, WindowSample
+from rainlidar.moe import MoEModel, TreeSpec, build_tree_spec, infer, infer_batch, train
 from rainlidar.pipeline import Dataset, RainSeries
+from rainlidar.vblearn import BasisConfig, ExpertPosterior, GatePosterior
 from conftest import assert_no_child_process, exit_holding_the_token, time_limit, use_cpus
 from test_moe import make_samples
 
@@ -764,6 +765,60 @@ class TestModelFormat:
         rio.save_model(p2, rio.load_model(p1))
         assert p1.read_bytes() == p2.read_bytes()
 
+    @staticmethod
+    def _heap_from_sorted(values):
+        """Heap order of a full tree whose in-order traversal is ``values``."""
+        heap = [None] * len(values)
+
+        def place(k, lo, hi):  # values[lo:hi] are the subtree of node k
+            if lo < hi:
+                mid = (lo + hi) // 2
+                heap[k - 1] = values[mid]
+                place(2 * k, lo, mid)
+                place(2 * k + 1, mid + 1, hi)
+
+        place(1, 0, len(values))
+        return heap
+
+    @pytest.mark.parametrize("depth", range(7))
+    def test_random_specs_round_trip_byte_identical(self, tmp_path, depth):
+        rng = np.random.default_rng([25, depth])
+        lo = float(rng.uniform(0.0, 5.0))
+        hi = lo + float(rng.uniform(1.0, 500.0))
+        inner = np.sort(rng.uniform(lo, hi, 2**depth - 1)).tolist()
+        spec = TreeSpec(self._heap_from_sorted(inner), (lo, hi))
+        assert spec.depth == depth
+        assert spec.expert_ranges == tuple(zip([lo, *inner], [*inner, hi]))
+        basis = BasisConfig("polynomial", int(rng.integers(1, 4)))
+        d = basis.output_dim(3)
+
+        def spd():
+            a = rng.normal(size=(d, d))
+            return a @ a.T / d + 0.5 * np.eye(d)
+
+        model = MoEModel(
+            spec,
+            tuple(GatePosterior(rng.normal(size=d), spd()) for _ in range(spec.n_gates)),
+            tuple(
+                ExpertPosterior(rng.normal(size=d), spd(), float(rng.uniform(0.1, 10.0)))
+                for _ in range(spec.n_experts)
+            ),
+            FeatureStats(rng.normal(size=3), rng.uniform(0.5, 2.0, 3)),
+            basis=basis,
+            metadata={"seed": depth},
+        )
+        first, second = tmp_path / "m1.json", tmp_path / "m2.json"
+        rio.save_model(first, model)
+        loaded = rio.load_model(first)
+        assert loaded.spec == spec and loaded.basis == basis
+        rio.save_model(second, loaded)
+        assert first.read_bytes() == second.read_bytes()
+        doc = json.loads(first.read_text())
+        assert doc["spec"]["depth"] == depth
+        assert doc["spec"]["expert_ranges"] == [list(r) for r in spec.expert_ranges]
+        kind_degree = {"kind": "polynomial", "degree": basis.degree}
+        assert all(node["basis"] == kind_degree for node in doc["gates"] + doc["experts"])
+
     def test_metadata_preserved(self, tmp_path):
         model, _ = self._model()
         path = tmp_path / "model.json"
@@ -898,6 +953,27 @@ class TestModelFormat:
         # json writes the constants NaN, Infinity and -Infinity
         path.write_text(json.dumps(doc))
         with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: non-finite number"):
+            rio.load_model(path)
+
+    @pytest.mark.parametrize(
+        "part, value, message",
+        [
+            ("expert_ranges", [], "incomplete model document"),
+            ("expert_ranges", [0.0, 80.0], "incomplete model document"),
+            ("nodes", [], "the gates and experts must share one basis, found 0"),
+        ],
+    )
+    def test_spec_without_ranges_or_nodes_is_a_format_error(self, tmp_path, part, value, message):
+        model, _ = self._model()
+        path = tmp_path / "model.json"
+        rio.save_model(path, model)
+        doc = json.loads(path.read_text())
+        if part == "nodes":
+            doc["gates"] = doc["experts"] = value
+        else:
+            doc["spec"][part] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: {message}"):
             rio.load_model(path)
 
     def test_non_finite_metadata_loads(self, tmp_path):

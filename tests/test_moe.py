@@ -1,5 +1,8 @@
 """Tests for tree construction, two-step training, and mixture inference."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from scipy.special import logit, ndtr
@@ -11,6 +14,7 @@ from rainlidar.moe import (
     MixturePrediction,
     MoEModel,
     TrainConfig,
+    TreeSpec,
     _band_error_probability,
     _ndtr,
     build_tree_spec,
@@ -22,7 +26,13 @@ from rainlidar.moe import (
     summarize_predictions,
     train,
 )
-from rainlidar.vblearn import ExpertPosterior, GatePosterior, design_matrix, expert_predictions
+from rainlidar.vblearn import (
+    BasisConfig,
+    ExpertPosterior,
+    GatePosterior,
+    design_matrix,
+    expert_predictions,
+)
 
 N_FEATURES = 8
 
@@ -63,6 +73,32 @@ def make_prediction(resp, means, variances):
 
 def quadrature_grid():
     return np.arange(-200.0, 500.0 + 1e-9, 0.01)
+
+
+class TestTreeSpec:
+    def test_depth_and_ranges_follow_from_the_thresholds(self):
+        spec = TreeSpec((20, 10, 40), (0, 80))
+        assert spec.depth == 2 and spec.n_gates == 3 and spec.n_experts == 4
+        assert spec.thresholds == (20.0, 10.0, 40.0) and spec.y_range == (0.0, 80.0)
+        assert spec.expert_ranges == ((0.0, 10.0), (10.0, 20.0), (20.0, 40.0), (40.0, 80.0))
+        assert TreeSpec((), (5.0, 9.0)).expert_ranges == ((5.0, 9.0),)
+
+    @pytest.mark.parametrize(
+        "thresholds, y_range, message",
+        [
+            ((20.0, 10.0), (0.0, 80.0), "threshold count 2 is not 2**depth - 1"),
+            ((20.0,), (0.0, -1.0), "y range must satisfy 0 <= lo < hi"),
+            ((20.0,), (-1.0, 80.0), "y range must satisfy 0 <= lo < hi"),
+            ((20.0,), (0.0, float("inf")), "y range must satisfy 0 <= lo < hi"),
+            (tuple(range(1, 128)), (0.0, 200.0), "depth must be in [0, 6]"),
+            ((90.0,), (0.0, 80.0), "thresholds must increase in-order, got 90.0 >= 80.0"),
+            ((0.0,), (0.0, 80.0), "thresholds must increase in-order, got 0.0 >= 0.0"),
+            ((float("nan"),), (0.0, 80.0), "thresholds must increase in-order, got 0.0 >= nan"),
+        ],
+    )
+    def test_rejected(self, thresholds, y_range, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            TreeSpec(thresholds, y_range)
 
 
 class TestBuildTreeSpec:
@@ -112,8 +148,9 @@ class TestBuildTreeSpec:
             build_tree_spec(depth, (0.0, 80.0))
 
     def test_depth_bounds(self):
-        with pytest.raises(InvalidInputError):
-            build_tree_spec(7, (0.0, 80.0))
+        for depth in (7, -1):
+            with pytest.raises(InvalidInputError, match=re.escape("depth must be in [0, 6]")):
+                build_tree_spec(depth, (0.0, 80.0))
 
 
 class TestQuantileThresholds:
@@ -298,6 +335,20 @@ class TestTrain:
         object.__setattr__(s[0], "target", -1.0)
         with pytest.raises(InvalidInputError):
             train(s, build_tree_spec(0, (0.0, 80.0)), seed=0)
+
+
+class TestModelBasis:
+    def test_every_node_must_have_the_basis_dimension(self):
+        model = manual_model(1, [0.5], [1.0, 2.0])
+        with pytest.raises(
+            InvalidInputError,
+            match="^gate z1 has dimension 9, but the polynomial basis of 8 features has "
+            "dimension 17$",
+        ):
+            dataclasses.replace(model, basis=BasisConfig("polynomial", 2))
+        short = ExpertPosterior(mean=np.zeros(5), covariance=np.eye(5), noise_precision=1.0)
+        with pytest.raises(InvalidInputError, match="^expert e2 has dimension 5, "):
+            dataclasses.replace(model, experts=(model.experts[0], short))
 
 
 def manual_model(depth, gate_probs, expert_means, variance=1.0):

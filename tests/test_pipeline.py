@@ -262,6 +262,25 @@ class TestMakeWindows:
         result = make_windows([], 10.0, CropBox(10.0), series_of(np.full(5, 1.0)))
         assert result.samples == [] and result.n_windows == 0
 
+    @pytest.mark.parametrize("container", [list, tuple])
+    def test_a_list_or_tuple_of_blocks_equals_an_iterator_of_them(self, container):
+        # 0..40 s and 60..100 s of scans, a target for 0..70 s: windows of
+        # every kind, kept, without a target and with too few scans
+        times = np.concatenate([np.arange(0.0, 40.0, 0.1), np.arange(60.0, 100.0, 0.1)])
+        table = ScanTable.from_scans([scan_at(t) for t in times])
+        blocks = [table[:150], table[150:151], table[151:151], table[151:]]
+        series = series_of(np.full(8, 5.0))
+        want = make_windows(iter(blocks), 10.0, CropBox(10.0), series)
+        got = make_windows(container(blocks), 10.0, CropBox(10.0), series)
+        counts = ("n_windows", "n_skipped_no_target", "n_skipped_few_scans", "n_scans")
+        assert [getattr(got, c) for c in counts] == [getattr(want, c) for c in counts]
+        assert want.n_skipped_no_target and want.n_skipped_few_scans and want.samples
+        assert [(s.window, s.target) for s in got.samples] == [
+            (s.window, s.target) for s in want.samples
+        ]
+        for a, b in zip(got.samples, want.samples):
+            np.testing.assert_array_equal(a.features, b.features)
+
 
 def random_session(seed):
     """Irregular 10 Hz-ish session with runs of empty and of 1-point scans."""

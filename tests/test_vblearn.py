@@ -32,15 +32,15 @@ def bound_is_monotone(trace, slack=1e-8):
     return bool(np.all(np.diff(trace) >= -slack * np.maximum(1.0, np.abs(trace[:-1]))))
 
 
-def gate_probability_at(posterior, x):
+def gate_probability_at(posterior, x, basis=BasisConfig()):
     """P(z = True | x) of one gate at one raw input, through the batched kernel."""
-    Phi = design_matrix(np.atleast_2d(x), posterior.basis)
+    Phi = design_matrix(np.atleast_2d(x), basis)
     return float(gate_probabilities((posterior,), Phi)[0, 0])
 
 
-def expert_prediction_at(posterior, x):
+def expert_prediction_at(posterior, x, basis=BasisConfig()):
     """(mean, variance) of one expert at one raw input, through the batched kernel."""
-    Phi = design_matrix(np.atleast_2d(x), posterior.basis)
+    Phi = design_matrix(np.atleast_2d(x), basis)
     means, variances = expert_predictions((posterior,), Phi)
     return float(means[0, 0]), float(variances[0, 0])
 
